@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cluster/exponential_shifts.hpp"
-#include "schedule/intra_cluster.hpp"
+#include "core/propagation.hpp"
 #include "sim/instances.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -34,26 +34,23 @@ RADIOCAST_SCENARIO(schedule_distance, "schedule-distance",
       p.dist_to_center[v] = v;
       p.parent[v] = v == 0 ? 0 : v - 1;
     }
-    schedule::IcpParams params;
-    params.pass_hops = ell;
-    params.with_background = false;
-    // pipelined
+    // One window without the background stream: 3 passes of ell hops.
+    auto window_rounds = [&](const schedule::TreeSchedule& sched) {
+      std::vector<radio::Payload> best(n, radio::kNoPayload);
+      best[0] = 1;
+      return core::run_single_window(g, sched, ell, /*icp_background=*/false,
+                                     seed, best, rng)
+          .main_rounds;
+    };
     const schedule::TreeSchedule sp(g, p, schedule::ScheduleMode::kPipelined);
-    radio::Network net1(g);
-    std::vector<radio::Payload> best1(n, radio::kNoPayload);
-    best1[0] = 1;
-    const auto s1 = schedule::run_icp_window(net1, sp, best1, params, rng);
-    // colored
     const schedule::TreeSchedule sc(g, p, schedule::ScheduleMode::kColored);
-    radio::Network net2(g);
-    std::vector<radio::Payload> best2(n, radio::kNoPayload);
-    best2[0] = 1;
-    const auto s2 = schedule::run_icp_window(net2, sc, best2, params, rng);
+    const std::uint64_t pipelined = window_rounds(sp);
+    const std::uint64_t colored = window_rounds(sc);
     t.row()
         .add(std::uint64_t{ell})
-        .add(s1.rounds, 0)
-        .add(static_cast<double>(s1.rounds) / ell, 2)
-        .add(s2.rounds, 0)
+        .add(pipelined, 0)
+        .add(static_cast<double>(pipelined) / ell, 2)
+        .add(colored, 0)
         .add(std::uint64_t{sc.period()});
   }
   ctx.emit(t, "E10a: schedule rounds-to-distance (one window = 3 passes)",

@@ -4,7 +4,8 @@
 // 0.99, thanks to the Algorithm 4 background rescue whose cost scales with
 // the number q of bordering clusters.
 //
-// We run single ICP windows over real Partition(beta) clusterings, and
+// We run single ICP windows (core::run_single_window, the engine Compete
+// runs) over real Partition(beta) clusterings, and
 // measure (a) the fraction of in-radius nodes that received the outward
 // wave (with and without the background), and (b) risky-node counts and
 // the distribution of q (bordering clusters), the quantity Lemma 4.2's
@@ -14,7 +15,7 @@
 
 #include "cluster/exponential_shifts.hpp"
 #include "cluster/partition_stats.hpp"
-#include "schedule/intra_cluster.hpp"
+#include "core/propagation.hpp"
 #include "sim/instances.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -43,7 +44,7 @@ RADIOCAST_SCENARIO(validity, "validity",
       const std::uint64_t base = util::mix_seed(
           seed, inst.g.node_count() * 10 + std::uint64_t(beta * 100));
       const auto stats = ctx.runner.replicate(
-          reps, base, 5, [&](int rep, std::uint64_t s) {
+          reps, base, 5, [&](int, std::uint64_t s) {
             util::Rng rep_rng(s);
             std::vector<double> m(5, std::nan(""));
             const auto p = cluster::partition(inst.g, beta, rep_rng);
@@ -65,19 +66,14 @@ RADIOCAST_SCENARIO(validity, "validity",
             for (int bg = 0; bg < 2; ++bg) {
               const schedule::TreeSchedule sched(
                   inst.g, p, schedule::ScheduleMode::kPipelined);
-              radio::Network net(inst.g);
               std::vector<radio::Payload> best(inst.g.node_count(),
                                                radio::kNoPayload);
               for (graph::NodeId v = 0; v < inst.g.node_count(); ++v) {
                 if (p.is_center(v)) best[v] = 100;
               }
-              schedule::IcpParams params;
-              params.pass_hops = ell;
-              params.with_background = bg == 1;
-              params.seed = util::mix_seed(s, bg);
-              params.window_id = static_cast<std::uint32_t>(rep);
-              const auto wstats =
-                  schedule::run_icp_window(net, sched, best, params, rep_rng);
+              const auto wstats = core::run_single_window(
+                  inst.g, sched, ell, /*icp_background=*/bg == 1,
+                  util::mix_seed(s, bg), best, rep_rng);
               std::uint32_t in_radius = 0, got = 0;
               for (graph::NodeId v = 0; v < inst.g.node_count(); ++v) {
                 if (p.dist_to_center[v] <= ell) {

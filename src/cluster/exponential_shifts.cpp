@@ -28,6 +28,16 @@ Partition::DenseIds Partition::dense_ids() const {
   return d;
 }
 
+Partition trivial_partition(NodeId n) {
+  Partition p;
+  p.beta = 1.0;
+  p.center.assign(n, 0);
+  p.dist_to_center.assign(n, 0);
+  p.parent.assign(n, 0);
+  p.delta.assign(n, 0.0);
+  return p;
+}
+
 namespace {
 
 struct QueueEntry {

@@ -60,6 +60,12 @@ struct Partition {
   DenseIds dense_ids() const;
 };
 
+/// The one-region partition of n nodes: every node in the cluster of node 0
+/// (depth and parent fields zeroed). It is the "coarse" layer of Compete's
+/// background process and of single-window ICP runs (core/propagation.hpp),
+/// where only region membership is read.
+Partition trivial_partition(NodeId n);
+
 /// Runs Partition(beta) on the whole graph.
 Partition partition(const graph::Graph& g, double beta, util::Rng& rng);
 

@@ -12,23 +12,6 @@
 
 namespace radiocast::core {
 
-namespace {
-
-/// Trivial one-region partition (everything in the cluster of node 0) used
-/// as the "coarse" layer of the background process — see propagation.hpp.
-cluster::Partition trivial_partition(const graph::Graph& g) {
-  cluster::Partition p;
-  const NodeId n = g.node_count();
-  p.beta = 1.0;
-  p.center.assign(n, 0);
-  p.dist_to_center.assign(n, 0);
-  p.parent.assign(n, 0);
-  p.delta.assign(n, 0.0);
-  return p;
-}
-
-}  // namespace
-
 CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
                       const std::vector<CompeteSource>& sources,
                       const CompeteParams& params, std::uint64_t seed) {
@@ -104,7 +87,8 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
   std::vector<const schedule::TreeSchedule*> bg_sched_ptrs;
   std::unique_ptr<PropagationEngine> bg_engine;
   if (params.enable_background) {
-    bg_regions = std::make_unique<cluster::Partition>(trivial_partition(g));
+    bg_regions = std::make_unique<cluster::Partition>(
+        cluster::trivial_partition(n));
     const double bg_beta = util::fpow(d, params.bg_beta_exponent);
     const std::uint32_t bg_reps = std::min<std::uint32_t>(
         params.max_bg_clusterings,

@@ -9,8 +9,41 @@
 
 namespace radiocast::core {
 
+namespace {
+
+/// Rejects an unusable config before any member is built from it (the
+/// member-init list dereferences cfg.graph).
+const PropagationEngine::Config& validated(
+    const PropagationEngine::Config& cfg) {
+  if (cfg.graph == nullptr || cfg.regions == nullptr || cfg.scheds.empty() ||
+      !cfg.choose) {
+    throw std::invalid_argument("PropagationEngine: incomplete config");
+  }
+  const NodeId n = cfg.graph->node_count();
+  if (cfg.regions->node_count() != n) {
+    throw std::invalid_argument(
+        "PropagationEngine: region partition does not match the graph");
+  }
+  for (const schedule::TreeSchedule* s : cfg.scheds) {
+    if (s == nullptr) {
+      throw std::invalid_argument("PropagationEngine: null schedule");
+    }
+    if (s->partition().node_count() != n) {
+      throw std::invalid_argument(
+          "PropagationEngine: schedule partition does not match the graph");
+    }
+    if (s->mode() != cfg.scheds[0]->mode()) {
+      throw std::invalid_argument(
+          "PropagationEngine: schedules must share one mode");
+    }
+  }
+  return cfg;
+}
+
+}  // namespace
+
 PropagationEngine::PropagationEngine(const Config& cfg)
-    : g_(cfg.graph),
+    : g_(validated(cfg).graph),
       regions_(cfg.regions),
       scheds_(cfg.scheds),
       choose_(cfg.choose),
@@ -18,15 +51,6 @@ PropagationEngine::PropagationEngine(const Config& cfg)
       seed_(cfg.seed),
       net_(*cfg.graph),
       lambda_(schedule::decay_round_length(cfg.graph->node_count())) {
-  if (g_ == nullptr || regions_ == nullptr || scheds_.empty() || !choose_) {
-    throw std::invalid_argument("PropagationEngine: incomplete config");
-  }
-  for (std::size_t s = 1; s < scheds_.size(); ++s) {
-    if (scheds_[s]->mode() != scheds_[0]->mode()) {
-      throw std::invalid_argument(
-          "PropagationEngine: schedules must share one mode");
-    }
-  }
   const NodeId n = g_->node_count();
   reached_.assign(n, 0);
   upval_.assign(n, radio::kNoPayload);
@@ -446,6 +470,28 @@ std::uint32_t PropagationEngine::step(std::vector<Payload>& best,
     return 2;
   }
   return 1;
+}
+
+PropagationStats run_single_window(const graph::Graph& g,
+                                   const schedule::TreeSchedule& sched,
+                                   std::uint32_t pass_hops,
+                                   bool icp_background, std::uint64_t seed,
+                                   std::vector<Payload>& best,
+                                   util::Rng& rng) {
+  const cluster::Partition region = cluster::trivial_partition(g.node_count());
+  PropagationEngine::Config cfg;
+  cfg.graph = &g;
+  cfg.regions = &region;
+  cfg.scheds = {&sched};
+  cfg.choose = [pass_hops](NodeId, std::uint64_t) {
+    return WindowChoice{0, pass_hops};
+  };
+  cfg.icp_background = icp_background;
+  cfg.seed = seed;
+  PropagationEngine engine(cfg);
+  // The second window starts in the step that ends the first one's outC.
+  while (engine.stats().windows_started < 2) engine.step(best, rng);
+  return engine.stats();
 }
 
 }  // namespace radiocast::core

@@ -1,5 +1,7 @@
 // PropagationEngine: the windowed Intra-Cluster Propagation machinery that
-// realises BOTH processes of Compete (Section 3).
+// realises BOTH processes of Compete (Section 3). It is the repository's
+// only implementation of Algorithms 3-4: single-window experiments and
+// tests run it too, through run_single_window below.
 //
 // The observation that lets one engine serve both: Algorithm 2 (the
 // background process) is exactly Algorithm 1 (the main process) with a
@@ -158,5 +160,19 @@ class PropagationEngine {
   static constexpr std::uint32_t kNoDepth = static_cast<std::uint32_t>(-1);
   std::uint32_t transmit_depth(const RegionState& st) const;
 };
+
+/// Runs exactly one ICP window (outward, inward, outward pass) of `sched`
+/// with hop budget `pass_hops` over `best`, on a one-region engine (so every
+/// cluster of `sched` starts its window in round 0). Each pass takes
+/// pass_hops rounds (times the period in colored mode); with
+/// `icp_background` every wave round is followed by one Algorithm 4 round
+/// whose coordinated coins derive from `seed`. Returns the engine's stats;
+/// main_rounds + background_rounds is the window's physical round count.
+PropagationStats run_single_window(const graph::Graph& g,
+                                   const schedule::TreeSchedule& sched,
+                                   std::uint32_t pass_hops,
+                                   bool icp_background, std::uint64_t seed,
+                                   std::vector<Payload>& best,
+                                   util::Rng& rng);
 
 }  // namespace radiocast::core

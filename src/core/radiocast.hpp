@@ -18,6 +18,7 @@
 #include "core/leader_election.hpp"
 #include "core/multi_message.hpp"
 #include "core/params.hpp"
+#include "core/propagation.hpp"
 #include "core/theory.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -28,7 +29,6 @@
 #include "radio/protocol.hpp"
 #include "schedule/bfs_schedule.hpp"
 #include "schedule/decay.hpp"
-#include "schedule/intra_cluster.hpp"
 #include "util/cli.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"

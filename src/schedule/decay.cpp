@@ -41,7 +41,7 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
                                std::uint32_t step,
                                radio::KnowledgePlanes best,
                                std::span<util::Rng> lane_rng,
-                               radio::BatchOutcome& out, bool with_senders) {
+                               radio::BatchOutcome& out) {
   const graph::NodeId n = net.node_count();
   const int lanes = static_cast<int>(lane_rng.size());
   if (lanes < 1 || lanes > net.lanes()) {
@@ -111,22 +111,10 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
   // pin outcome equality, so results are byte-identical on every backend.
   const bool sparse =
       static_cast<std::uint64_t>(active.size()) * 16 <= n;
-  if (with_senders) {
-    if (sparse) {
-      net.step_lanes_active(active, payload_of, out, /*with_senders=*/true);
-    } else {
-      net.step_lanes(tx_mask, payload_of, out, /*with_senders=*/true);
-    }
-    for (const auto& d : out.deliveries) {
-      radio::Payload& b = best.at(d.lane, d.node);
-      if (b == radio::kNoPayload || d.payload > b) b = d.payload;
-    }
+  if (sparse) {
+    net.step_lanes_max_active(active, payload_of, best, out);
   } else {
-    if (sparse) {
-      net.step_lanes_max_active(active, payload_of, best, out);
-    } else {
-      net.step_lanes_max(tx_mask, payload_of, best, out);
-    }
+    net.step_lanes_max(tx_mask, payload_of, best, out);
   }
   std::uint32_t delivered = 0;
   for (int l = 0; l < lanes; ++l) delivered += out.delivered_count[l];
@@ -152,24 +140,14 @@ std::uint32_t decay_step(radio::Network& net,
                          const std::vector<std::uint8_t>& participates,
                          const std::vector<radio::Payload>& payload_of,
                          std::uint32_t step, std::vector<radio::Payload>& best,
-                         util::Rng& rng,
-                         std::vector<graph::NodeId>* received_from) {
+                         util::Rng& rng) {
   const graph::NodeId n = net.node_count();
   static thread_local std::vector<std::uint64_t> mask;
   static thread_local radio::BatchOutcome out;
   mask.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) mask[v] = participates[v] ? 1 : 0;
-  // Senders are materialized only when the caller wants received_from.
-  const std::uint32_t delivered = decay_step_lanes(
-      net, mask, payload_of, step, best, std::span<util::Rng>(&rng, 1), out,
-      /*with_senders=*/received_from != nullptr);
-  if (received_from != nullptr) {
-    received_from->assign(n, graph::kInvalidNode);
-    // The outcome names the unique transmitting neighbour directly; no
-    // neighbourhood re-scan needed.
-    for (const auto& d : out.deliveries) (*received_from)[d.node] = d.from;
-  }
-  return delivered;
+  return decay_step_lanes(net, mask, payload_of, step, best,
+                          std::span<util::Rng>(&rng, 1), out);
 }
 
 std::uint32_t decay_round(radio::Network& net,
@@ -180,7 +158,7 @@ std::uint32_t decay_round(radio::Network& net,
   std::uint32_t delivered = 0;
   for (std::uint32_t s = 1; s <= steps; ++s) {
     delivered +=
-        decay_step(net, participates, payload_of, s, best, rng, nullptr);
+        decay_step(net, participates, payload_of, s, best, rng);
   }
   return delivered;
 }

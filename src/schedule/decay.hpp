@@ -48,23 +48,19 @@ std::uint32_t decay_round_length(std::uint32_t n);
 /// `out` is caller-owned scratch holding the round's delivered masks and
 /// counters on return. lane_rng.size() selects the lane count; it must not
 /// exceed net.lanes(), and best must cover node_count nodes x that many
-/// lanes. By default deliveries fold into `best` through the executor's
-/// step_lanes_max (no per-delivery records — the fast path); pass
-/// with_senders = true to materialize out.deliveries (sender + payload per
-/// delivery) for consumers that need to know who delivered, at the cost of
-/// building those records. Deep steps with few transmitters route through
-/// the sparse step_lanes_(max_)active entry points, so tail rounds cost
+/// lanes. Deliveries fold into `best` through the executor's step_lanes_max
+/// (no per-delivery records). Deep steps with few transmitters route through
+/// the sparse step_lanes_max_active entry point, so tail rounds cost
 /// O(active work) on the frontier backend — outcomes are identical either
 /// way (the coin stream never depends on the path taken). Returns the
-/// number of deliveries summed over lanes either way.
+/// number of deliveries summed over lanes.
 std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
                                std::span<const std::uint64_t> participates,
                                radio::PayloadPlanes payload_of,
                                std::uint32_t step,
                                radio::KnowledgePlanes best,
                                std::span<util::Rng> lane_rng,
-                               radio::BatchOutcome& out,
-                               bool with_senders = false);
+                               radio::BatchOutcome& out);
 
 /// Executes one full Decay round (decay_round_length(n) steps) across all
 /// lanes. Returns total deliveries over steps and lanes.
@@ -79,17 +75,11 @@ std::uint32_t decay_round_lanes(radio::LaneExecutor& net,
 /// nodes running Decay this round; each transmits `payload_of[v]` with
 /// probability 2^-step. Listeners that receive update
 /// `best[v] = max(best[v], received)`. Returns the number of deliveries.
-///
-/// `received_from` (optional, may be null) is filled with the transmitter
-/// that delivered to each node this step (kInvalidNode otherwise) — the
-/// simulation-side bookkeeping used by cluster-rescue logic (a real message
-/// would carry the sender's cluster id; see DESIGN.md).
 std::uint32_t decay_step(radio::Network& net,
                          const std::vector<std::uint8_t>& participates,
                          const std::vector<radio::Payload>& payload_of,
                          std::uint32_t step, std::vector<radio::Payload>& best,
-                         util::Rng& rng,
-                         std::vector<graph::NodeId>* received_from);
+                         util::Rng& rng);
 
 /// Executes one full Decay round (decay_round_length(n) steps).
 /// Returns total deliveries.

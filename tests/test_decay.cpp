@@ -38,25 +38,10 @@ TEST(Decay, StepDeliversOnIsolatedEdge) {
     std::vector<std::uint8_t> part{1, 0};
     std::vector<radio::Payload> pay{99, radio::kNoPayload};
     std::vector<radio::Payload> best{99, radio::kNoPayload};
-    decay_step(net, part, pay, 1, best, rng, nullptr);
+    decay_step(net, part, pay, 1, best, rng);
     informed += best[1] == 99;
   }
   EXPECT_NEAR(informed / static_cast<double>(kTrials), 0.5, 0.03);
-}
-
-TEST(Decay, ReceivedFromIdentifiesSender) {
-  const graph::Graph g = graph::path(3);
-  util::Rng rng(2);
-  radio::Network net(g);
-  std::vector<std::uint8_t> part{1, 0, 0};
-  std::vector<radio::Payload> pay{7, radio::kNoPayload, radio::kNoPayload};
-  std::vector<radio::Payload> best = pay;
-  std::vector<graph::NodeId> from;
-  // Step 0 => probability 1 (defensive branch) so delivery is certain.
-  const auto delivered = decay_step(net, part, pay, 0, best, rng, &from);
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(from[1], 0u);
-  EXPECT_EQ(from[2], graph::kInvalidNode);
 }
 
 // Lemma 3.1 sweep: success probability of a full Decay round as a function
@@ -127,7 +112,7 @@ TEST(Decay, BestKeepsMaximum) {
   std::vector<radio::Payload> pay{3, radio::kNoPayload};
   std::vector<radio::Payload> best{3, 10};
   for (int i = 0; i < 20; ++i) {
-    decay_step(net, part, pay, 0, best, rng, nullptr);
+    decay_step(net, part, pay, 0, best, rng);
   }
   EXPECT_EQ(best[1], 10u);
 }
