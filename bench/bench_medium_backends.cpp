@@ -18,13 +18,13 @@
 // Part 3 — sparse-tail rounds. A geometrically decaying transmitter
 // schedule on a large Gnp instance (the long-tail shape of Decay back-off
 // and broadcast mop-up phases: after a few dense rounds, almost every
-// round has a handful of transmitters), driven through the sparse
-// step_lanes_active entry point on the bitslice and frontier backends.
-// Bitslice materialises a dense mask and scans all n per round; frontier
-// wakes only the listeners adjacent to this round's transmitters, so its
-// tail-round cost follows active_listeners, not n. Outcomes are
-// cross-checksummed; the acceptance bar is frontier >= 5x bitslice
-// lane-rounds/s on the tail segment at n = 1e6 (full mode).
+// round has a handful of transmitters), resolved by bitslice through two
+// entry points: step_lanes over each round's materialised n-word mask
+// (its prologue scans all n) and step_lanes_active over the transmitter
+// list itself (its prologue walks the list, so tail-round cost follows
+// active_listeners, not n). Outcomes are cross-checksummed; the
+// acceptance bar is the list entry >= 5x the mask entry per tail round at
+// n = 1e6 (full mode).
 //
 // Part 4 — knowledge-plane layout. The 64-lane max-fold kernel timed
 // against node-major vs lane-major best[] planes over one dense round's
@@ -35,7 +35,7 @@
 // with bitslice as the single-worker reference; outcomes stay
 // byte-identical for every worker count.
 //
-// --medium=scalar|bitslice|sharded|frontier restricts the comparison to
+// --medium=scalar|bitslice|sharded restricts the comparison to
 // one backend (used by the CI smoke matrix); by default all rows run.
 #include <algorithm>
 #include <bit>
@@ -341,9 +341,8 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              std::to_string(std::thread::hardware_concurrency()) + ")");
   }
 
-  // ---- Part 3: sparse-tail rounds via the event-driven frontier --------
-  if (enabled(radio::MediumKind::kBitslice) ||
-      enabled(radio::MediumKind::kFrontier)) {
+  // ---- Part 3: sparse-tail rounds, transmitter list vs dense mask -------
+  if (enabled(radio::MediumKind::kBitslice)) {
     const graph::NodeId n = quick ? 100000 : 1000000;
     const graph::Graph g =
         graph::pargen::gnp(n, 8.0 / n, util::mix_seed(seed, 3));
@@ -352,8 +351,8 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
 
     // Geometric source decay: the transmitter count halves each round from
     // n/16 down to a floor of 4, then the tail holds there — the long-tail
-    // shape where O(n)-per-round backends burn their time. Each entry gets
-    // a random nonzero 64-bit lane mask so the sparse path's lane
+    // shape where O(n)-per-round entry points burn their time. Each entry
+    // gets a random nonzero 64-bit lane mask so the list path's lane
     // composition is exercised, not just lane-0.
     std::vector<std::vector<radio::ActiveTx>> schedule;
     std::size_t tail_begin = 0;
@@ -385,87 +384,93 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
         static_cast<double>(schedule.size() - tail_begin);
     const std::vector<radio::Payload> payload(n, kFloodValue);
 
-    util::Table t({"backend", "rounds", "active/round", "wall ms",
+    util::Table t({"entry", "rounds", "active/round", "wall ms",
                    "lane-rounds/s", "tail ns/round", "tail speedup"});
-    double bitslice_tail_ns = 0.0;
-    std::uint64_t bitslice_sum = 0, frontier_sum = 0;
-    bool bitslice_ran = false, frontier_ran = false;
-    for (const radio::MediumKind kind :
-         {radio::MediumKind::kBitslice, radio::MediumKind::kFrontier}) {
-      if (!enabled(kind)) continue;
+    double mask_tail_ns = 0.0;
+    std::uint64_t mask_sum = 0;
+    std::vector<std::uint64_t> mask(n, 0);
+    for (const bool listed : {false, true}) {
       radio::BatchNetwork bn(g, kLanes, radio::CollisionModel::kNoDetection,
-                             kind);
+                             radio::MediumKind::kBitslice);
       radio::BatchOutcome out;
-      // Full schedule: checksum the delivered masks (order-independent
-      // fold) so the backends are held to identical outcomes here too.
-      std::uint64_t checksum = 0;
-      bn.step_lanes_active(schedule.front(), payload, out, false);  // warmup
+      // Times one round through the chosen entry point. The mask entry's
+      // n-word mask is materialised (and cleared) outside the timed step:
+      // the comparison is the medium's cost, not the caller's.
+      auto step = [&](const std::vector<radio::ActiveTx>& tx) {
+        if (listed) {
+          const double t0 = now_ms();
+          bn.step_lanes_active(tx, payload, out, /*with_senders=*/false);
+          return now_ms() - t0;
+        }
+        for (const auto& e : tx) mask[e.node] |= e.lanes;
+        const double t0 = now_ms();
+        bn.step_lanes(mask, payload, out, /*with_senders=*/false);
+        const double ms = now_ms() - t0;
+        for (const auto& e : tx) mask[e.node] = 0;
+        return ms;
+      };
+      step(schedule.front());  // warmup
       bn.reset_counters();
       bn.medium().reset_phase_timers();
-      const double t0 = now_ms();
+      // Full schedule: checksum the delivered masks (order-independent
+      // fold) so both entry points are held to identical outcomes.
+      std::uint64_t checksum = 0;
+      double wall = 0.0;
       for (const auto& tx : schedule) {
-        bn.step_lanes_active(tx, payload, out, /*with_senders=*/false);
+        wall += step(tx);
         for (const auto& dm : out.delivered) {
           checksum += (static_cast<std::uint64_t>(dm.node) * 0x9e3779b9u) ^
                       dm.lanes;
         }
       }
-      const double wall = now_ms() - t0;
       const radio::PhaseTimers phases = bn.medium().phase_timers();
       const double deliveries = static_cast<double>(bn.total_deliveries());
 
       // Tail segment only, re-run hot: the per-round cost once the active
       // set has collapsed — where O(active) and O(n) diverge.
       const int tail_iters = quick ? 5 : 10;
-      const double t1 = now_ms();
+      double tail_ms = 0.0;
       for (int it = 0; it < tail_iters; ++it) {
         for (std::size_t r = tail_begin; r < schedule.size(); ++r) {
-          bn.step_lanes_active(schedule[r], payload, out,
-                               /*with_senders=*/false);
+          tail_ms += step(schedule[r]);
         }
       }
-      const double tail_ns =
-          (now_ms() - t1) * 1e6 / (tail_rounds * tail_iters);
-      if (kind == radio::MediumKind::kBitslice) {
-        bitslice_tail_ns = tail_ns;
-        bitslice_sum = checksum;
-        bitslice_ran = true;
-      } else {
-        frontier_sum = checksum;
-        frontier_ran = true;
+      const double tail_ns = tail_ms * 1e6 / (tail_rounds * tail_iters);
+      if (!listed) {
+        mask_tail_ns = tail_ns;
+        mask_sum = checksum;
+      } else if (checksum != mask_sum) {
+        ctx.note("WARNING: sparse-tail outcome checksum mismatch between "
+                 "step_lanes and step_lanes_active");
       }
 
       const double active_per_round =
           static_cast<double>(phases.active_listeners) / total_rounds;
       t.row()
-          .add(std::string(radio::to_string(kind)))
+          .add(listed ? "step_lanes_active" : "step_lanes")
           .add(total_rounds, 0)
           .add(active_per_round, 0)
           .add(wall, 1)
           .add(wall > 0 ? total_rounds * kLanes * 1e3 / wall : 0.0, 0)
           .add(tail_ns, 0)
-          .add(bitslice_tail_ns > 0 && tail_ns > 0
-                   ? bitslice_tail_ns / tail_ns
-                   : 1.0,
+          .add(mask_tail_ns > 0 && tail_ns > 0 ? mask_tail_ns / tail_ns : 1.0,
                2);
-      ctx.record({"sparse-tail", 0, total_rounds, deliveries, wall,
-                  std::string(radio::to_string(kind)), kLanes, "",
-                  static_cast<double>(phases.traverse_ns),
-                  static_cast<double>(phases.output_ns),
+      // List-driven rounds time their phases as enqueue/drain.
+      ctx.record({listed ? "sparse-tail/step_lanes_active"
+                         : "sparse-tail/step_lanes",
+                  0, total_rounds, deliveries, wall, "bitslice", kLanes, "",
+                  static_cast<double>(phases.traverse_ns + phases.enqueue_ns),
+                  static_cast<double>(phases.output_ns + phases.drain_ns),
                   static_cast<double>(phases.recover_ns),
                   static_cast<double>(phases.active_listeners)});
     }
-    if (bitslice_ran && frontier_ran && bitslice_sum != frontier_sum) {
-      ctx.note("WARNING: sparse-tail outcome checksum mismatch between "
-               "bitslice and frontier");
-    }
     ctx.emit(t,
-             "sparse-tail rounds on gnp(n=" + std::to_string(n) +
+             "bitslice sparse-tail rounds on gnp(n=" + std::to_string(n) +
                  ", avg_deg~8), geometric source decay, 64 lanes",
              "medium_backends_sparse_tail");
-    ctx.note("(frontier wakes only listeners adjacent to this round's "
-             "transmitters — tail cost follows active/round, not n; "
-             "acceptance bar is >= 5x bitslice on tail rounds at n=1e6)");
+    ctx.note("(step_lanes_active builds the round from the transmitter "
+             "list — tail cost follows active/round, not n; acceptance bar "
+             "is >= 5x step_lanes on tail rounds at n=1e6)");
   }
 
   // ---- Part 4: knowledge-plane layout (node-major vs lane-major) -------

@@ -6,7 +6,8 @@
 # them against the committed BENCH_baseline.json acceptance bars:
 #
 #   batch_reps_speedup    bitslice 64-seed replication vs scalar  (>= 8x)
-#   sparse_tail_speedup   frontier vs bitslice on tail rounds     (>= 5x)
+#   sparse_tail_speedup   bitslice step_lanes_active vs step_lanes
+#                         on tail rounds                          (>= 5x)
 #   fold_layout_speedup   node-major vs lane-major 64-lane fold   (>= 1.3x)
 #   sharded_scaling_w4    sharded 4-worker vs 1-worker batch      (>= 2x,
 #                         enforced only on hosts with >= 4 cores)
@@ -69,7 +70,7 @@ col() {
 }
 
 batch=$(col "${out_dir}/medium_backends_batch.csv" '^bitslice,' 'speedup')
-tail_sp=$(col "${out_dir}/medium_backends_sparse_tail.csv" '^frontier,' 'tail speedup')
+tail_sp=$(col "${out_dir}/medium_backends_sparse_tail.csv" '^step_lanes_active,' 'tail speedup')
 fold=$(col "${out_dir}/medium_backends_fold_layout.csv" '^node-major,' 'speedup')
 scale=$(col "${out_dir}/medium_backends_two_level.csv" '^sharded,4,' 'scaling')
 

@@ -26,8 +26,8 @@
 namespace radiocast::exp {
 
 /// Schema version stamped into every emitted JSON document.
-/// v2: timing blocks gained the event-driven frontier backend's counters
-/// (enqueue_ns, drain_ns, active_listeners); per-replication rows gained
+/// v2: timing blocks gained the sparse-list phase counters (enqueue_ns,
+/// drain_ns) and active_listeners; per-replication rows gained
 /// active_listeners.
 /// v3: timing blocks gained the work-stealing pool counters
 /// (steal_attempts, steals, idle_ns); timing-enabled sweep documents

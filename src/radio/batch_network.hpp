@@ -68,7 +68,7 @@ class BatchNetwork : public LaneExecutor {
                       BatchOutcome& out) override;
 
   /// Sparse variant (see LaneExecutor): one Medium::resolve_batch_active
-  /// call — the O(active-work) path on the frontier backend.
+  /// call — the O(active-work) path on the bitslice backend.
   void step_lanes_active(std::span<const ActiveTx> tx, PayloadPlanes payload,
                          BatchOutcome& out, bool with_senders = true) override;
 

@@ -1,5 +1,5 @@
 // Carry-save per-lane tallies shared by the batch backends (bitslice,
-// frontier): plane j holds bit j of every lane's count, so adding a
+// sharded): plane j holds bit j of every lane's count, so adding a
 // 64-lane mask is a carry-save ripple (amortized ~2 word ops) instead of
 // one loop iteration per set bit.
 #pragma once

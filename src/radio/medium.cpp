@@ -5,7 +5,6 @@
 #include <string>
 
 #include "radio/medium_bitslice.hpp"
-#include "radio/medium_frontier.hpp"
 #include "radio/medium_scalar.hpp"
 #include "radio/medium_sharded.hpp"
 
@@ -140,61 +139,47 @@ void Medium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
   out.deliveries.clear();  // match the backends that never build them
 }
 
+template <class ResolveDense>
+void Medium::with_active_dense(std::span<const ActiveTx> tx,
+                               ResolveDense&& resolve_dense) {
+  const graph::NodeId n = graph_->node_count();
+  if (active_dense_.size() != n) active_dense_.assign(n, 0);
+  auto clear_upto = [&](std::size_t end) {
+    for (std::size_t i = 0; i < end; ++i) active_dense_[tx[i].node] = 0;
+  };
+  for (std::size_t i = 0; i < tx.size(); ++i) {
+    if (tx[i].node >= n) {
+      // Un-dirty what this call already wrote before reporting the bad
+      // entry — the scratch must stay all-zero for the next round.
+      clear_upto(i);
+      throw std::invalid_argument("Medium: transmitter out of range");
+    }
+    active_dense_[tx[i].node] |= tx[i].lanes;
+  }
+  try {
+    resolve_dense(std::span<const std::uint64_t>(active_dense_));
+  } catch (...) {
+    clear_upto(tx.size());
+    throw;
+  }
+  clear_upto(tx.size());
+}
+
 void Medium::resolve_batch_active(std::span<const ActiveTx> tx,
                                   PayloadPlanes payload, int lanes,
                                   BatchOutcome& out, bool with_senders) {
-  const graph::NodeId n = graph_->node_count();
-  if (active_dense_.size() != n) active_dense_.assign(n, 0);
-  for (const ActiveTx& e : tx) {
-    if (e.node >= n) {
-      // Un-dirty what this call already wrote before reporting the bad
-      // entry — the scratch must stay all-zero for the next round.
-      for (const ActiveTx& seen : tx) {
-        if (&seen == &e) break;
-        active_dense_[seen.node] = 0;
-      }
-      throw std::invalid_argument(
-          "Medium::resolve_batch_active: transmitter out of range");
-    }
-    active_dense_[e.node] |= e.lanes;
-  }
-  try {
-    resolve_batch(active_dense_, payload, lanes, out, with_senders);
-  } catch (...) {
-    for (const ActiveTx& e : tx) active_dense_[e.node] = 0;
-    throw;
-  }
-  for (const ActiveTx& e : tx) active_dense_[e.node] = 0;
+  with_active_dense(tx, [&](std::span<const std::uint64_t> mask) {
+    resolve_batch(mask, payload, lanes, out, with_senders);
+  });
 }
 
 void Medium::resolve_batch_max_active(std::span<const ActiveTx> tx,
                                       PayloadPlanes payload, int lanes,
                                       KnowledgePlanes best,
                                       BatchOutcome& out) {
-  const graph::NodeId n = graph_->node_count();
-  if (best.plane_size() < n || lanes > best.lane_capacity()) {
-    throw std::invalid_argument(
-        "Medium::resolve_batch_max_active: best too small");
-  }
-  if (active_dense_.size() != n) active_dense_.assign(n, 0);
-  for (const ActiveTx& e : tx) {
-    if (e.node >= n) {
-      for (const ActiveTx& seen : tx) {
-        if (&seen == &e) break;
-        active_dense_[seen.node] = 0;
-      }
-      throw std::invalid_argument(
-          "Medium::resolve_batch_max_active: transmitter out of range");
-    }
-    active_dense_[e.node] |= e.lanes;
-  }
-  try {
-    resolve_batch_max(active_dense_, payload, lanes, best, out);
-  } catch (...) {
-    for (const ActiveTx& e : tx) active_dense_[e.node] = 0;
-    throw;
-  }
-  for (const ActiveTx& e : tx) active_dense_[e.node] = 0;
+  with_active_dense(tx, [&](std::span<const std::uint64_t> mask) {
+    resolve_batch_max(mask, payload, lanes, best, out);
+  });
 }
 
 std::unique_ptr<Medium> make_medium(MediumKind kind, const graph::Graph& g,
@@ -210,9 +195,6 @@ std::unique_ptr<Medium> make_medium(MediumKind kind, const graph::Graph& g,
       break;
     case MediumKind::kSharded:
       medium = std::make_unique<ShardedMedium>(g, model, threads);
-      break;
-    case MediumKind::kFrontier:
-      medium = std::make_unique<FrontierMedium>(g, model);
       break;
   }
   if (medium == nullptr) throw std::invalid_argument("make_medium: bad kind");

@@ -3,7 +3,7 @@
 //
 // Medium is the seam between protocol logic and the collision kernel:
 // every round a transmitter set goes in and the successful receptions
-// (plus collision evidence) come out. Four backends implement it:
+// (plus collision evidence) come out. Three backends implement it:
 //
 //   scalar   — epoch-stamped reference kernel; resolve() adaptively picks a
 //              frontier (transmitter-scatter) or dense (full-array) path
@@ -11,16 +11,13 @@
 //   bitslice — 64-replication-wide batch kernel: per-listener ">=1 tx" and
 //              ">=2 tx" bitplanes updated with bitwise saturating adds, so
 //              one CSR traversal resolves a round for up to 64 independent
-//              Monte-Carlo lanes at once
+//              Monte-Carlo lanes at once. Its resolve_batch_active entry
+//              takes the sparse transmitter list directly, so a sparse
+//              round costs O(active work) — never an O(n) mask scan
 //   sharded  — thread-pooled kernel that cuts the listener space into
 //              contiguous CSR shards (balanced by the degree prefix sum)
-//              and resolves them in parallel with a deterministic merge
-//   frontier — event-driven propagation-queue kernel (the constraint-solver
-//              watch-list idiom): transmitters enqueue only the listeners
-//              adjacent to them, per-listener state is reset lazily by
-//              round stamps, so a round costs O(active work) — never O(n).
-//              Its native entry point is resolve_batch_active, which takes
-//              the sparse transmitter list directly
+//              and resolves 64-lane batches in parallel with a
+//              deterministic merge; single-lane rounds run on scalar
 //
 // All backends implement identical interference semantics — the
 // cross-backend differential test (tests/test_medium_backends.cpp) holds
@@ -29,7 +26,8 @@
 // byte-identical (the sharded backend's merge is ordered by shard index,
 // independent of OS scheduling). Delivery order within an outcome is
 // "first touch" order for scalar/bitslice and shard-major first-touch
-// order for sharded; consumers must not depend on it beyond determinism.
+// order for sharded batches; consumers must not depend on it beyond
+// determinism.
 #pragma once
 
 #include <algorithm>
@@ -75,13 +73,12 @@ struct SparseOutcome {
 
 /// Which backend resolves interference. kScalar is the reference; the
 /// others trade generality for throughput (see the file comment).
-enum class MediumKind : std::uint8_t { kScalar, kBitslice, kSharded,
-                                       kFrontier };
+enum class MediumKind : std::uint8_t { kScalar, kBitslice, kSharded };
 
 /// Canonical backend names, indexed by MediumKind — the single source of
 /// truth for to_string, parse_medium_kind, and flag validation.
-inline constexpr std::array<std::string_view, 4> kMediumNames{
-    "scalar", "bitslice", "sharded", "frontier"};
+inline constexpr std::array<std::string_view, 3> kMediumNames{
+    "scalar", "bitslice", "sharded"};
 
 std::string_view to_string(MediumKind kind);
 /// Parses a kMediumNames entry; throws std::invalid_argument otherwise
@@ -128,9 +125,10 @@ struct PhaseTimers {
   std::uint64_t traverse_ns = 0;  // plane accumulation / kernel traversal
   std::uint64_t output_ns = 0;    // output scan: masks, tallies, re-zeroing
   std::uint64_t recover_ns = 0;   // sender recovery (row scan or id planes)
-  /// Event-driven phases (the frontier backend): transmitter-scatter wake
-  /// pass and woken-queue drain. Frontier rounds report these instead of
-  /// traverse_ns/output_ns — the backend never runs a full-array pass.
+  /// Sparse-list phases (bitslice rounds entered through
+  /// resolve_batch_active or resolve()): the transmitter-list prologue plus
+  /// traversal, and the output scan. Those rounds report these instead of
+  /// traverse_ns/output_ns, so list-driven and mask-driven cost stay apart.
   std::uint64_t enqueue_ns = 0;
   std::uint64_t drain_ns = 0;
   /// Cumulative woken-listener count across rounds (sum of each round's
@@ -325,9 +323,9 @@ class KnowledgePlanes {
 };
 
 /// One transmitter of a batched round in sparse form: the node plus the
-/// lane set it transmits in. The native input of the event-driven frontier
-/// backend — handing the medium the transmitter list directly lets a round
-/// cost O(sum of active degrees) with no O(n) mask scan. Entries with the
+/// lane set it transmits in. Handing the bitslice backend the transmitter
+/// list directly lets a round cost O(sum of active degrees) with no O(n)
+/// mask scan. Entries with the
 /// same node are allowed; their lane masks OR together (the payload comes
 /// from the PayloadPlanes view, so there is nothing else to merge).
 struct ActiveTx {
@@ -419,8 +417,10 @@ class Medium {
   /// Unified single-instance entry point: resolves one round given only
   /// the transmitter list (everyone else listens). Duplicate transmitters
   /// are counted once (first occurrence's payload wins); transmitters are
-  /// half-duplex and never receive. Overwrites `out`. Counters are the
-  /// caller's job (Network aggregates across rounds).
+  /// half-duplex and never receive. Every transmitter must be < node_count
+  /// (throws std::invalid_argument otherwise, leaving the medium usable).
+  /// Overwrites `out`. Counters are the caller's job (Network aggregates
+  /// across rounds).
   virtual void resolve(std::span<const graph::NodeId> transmitters,
                        std::span<const Payload> tx_payload,
                        SparseOutcome& out) = 0;
@@ -456,7 +456,7 @@ class Medium {
 
   /// Sparse batched entry point: the transmitter set arrives as a list of
   /// (node, lane mask) entries instead of an n-word dense mask, so a
-  /// backend that can exploit sparsity (frontier) resolves the round in
+  /// backend that can exploit sparsity (bitslice) resolves the round in
   /// O(active work) with no per-node scan. Duplicate nodes OR their lane
   /// masks; entries must satisfy node < node_count (throws otherwise).
   /// Semantics are identical to resolve_batch over the equivalent dense
@@ -484,6 +484,13 @@ class Medium {
   PhaseTimers timers_;
 
  private:
+  /// The default sparse adapters' shared body: ORs `tx` into active_dense_
+  /// (range-checked), runs `resolve_dense(mask)`, and leaves the scratch
+  /// all-zero again whether or not anything threw.
+  template <class ResolveDense>
+  void with_active_dense(std::span<const ActiveTx> tx,
+                         ResolveDense&& resolve_dense);
+
   // Scratch for the default per-lane resolve_batch decomposition.
   std::vector<graph::NodeId> lane_tx_;
   std::vector<Payload> lane_payload_;

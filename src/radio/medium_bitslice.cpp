@@ -35,7 +35,7 @@ BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model)
                   : 1u;
   planes_.assign(static_cast<std::size_t>(n) * stride_, 0);
   touched_.reserve(n);
-  mask1_.assign(n, 0);
+  active_mask_.assign(n, 0);
   payload1_.assign(n, kNoPayload);
   // Seed the row-scan estimate with the full adjacency: the first batches
   // of a protocol are typically dense enough that a row scan would walk
@@ -169,8 +169,11 @@ template <class Sink>
 void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
                               std::uint64_t lane_mask, int lanes,
                               std::uint64_t work, BatchOutcome& out,
-                              Recover recover, Sink&& sink) {
+                              Recover recover, bool from_list, Sink&& sink) {
   const graph::NodeId n = graph_->node_count();
+  std::uint64_t& traverse_ns =
+      from_list ? timers_.enqueue_ns : timers_.traverse_ns;
+  std::uint64_t& output_ns = from_list ? timers_.drain_ns : timers_.output_ns;
   const obs::TraceSpan trace_span("bitslice.round", "lanes",
                                   static_cast<std::uint64_t>(lanes), "work",
                                   work);
@@ -266,7 +269,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
         gather_pass.template operator()<Recover::kNone>();
         break;
     }
-    timers_.traverse_ns += now_ns() - t0;
+    traverse_ns += now_ns() - t0;
   } else {
     // Scatter: bitwise saturating add into the per-listener blocks. Planes
     // are all-zero between rounds, so "one == 0" doubles as the untouched
@@ -288,7 +291,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
       }
     }
     const std::uint64_t t1 = now_ns();
-    timers_.traverse_ns += t1 - t0;
+    traverse_ns += t1 - t0;
 
     // Output scan: a lane delivers iff exactly one neighbour transmitted
     // and the listener was silent — pure bitplane arithmetic. Re-zeroing
@@ -312,7 +315,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
     } else {
       for (const graph::NodeId v : touched_) output_block(v);
     }
-    timers_.output_ns += now_ns() - t1;
+    output_ns += now_ns() - t1;
   }
 
   out.active_listeners = active;
@@ -349,40 +352,98 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
   ++timers_.rounds;
 }
 
-void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
-                               PayloadPlanes payload, int lanes,
-                               BatchOutcome& out, FoldMode mode,
-                               KnowledgePlanes best) {
+void BitsliceMedium::validate(PayloadPlanes payload, int lanes, FoldMode mode,
+                              KnowledgePlanes best) const {
   const graph::NodeId n = graph_->node_count();
-  if (tx_mask.size() != n || payload.plane_size() != n) {
+  if (payload.plane_size() != n) {
     throw std::invalid_argument("BitsliceMedium: size mismatch");
   }
   if (lanes < 1 || lanes > kMaxLanes || lanes > payload.lane_capacity()) {
     throw std::invalid_argument("BitsliceMedium: lanes out of range");
   }
+  if (mode == FoldMode::kMaxFold &&
+      (best.plane_size() < n || lanes > best.lane_capacity())) {
+    throw std::invalid_argument("BitsliceMedium: best too small");
+  }
+}
+
+void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
+                               PayloadPlanes payload, int lanes,
+                               BatchOutcome& out, FoldMode mode,
+                               KnowledgePlanes best) {
+  const graph::NodeId n = graph_->node_count();
+  if (tx_mask.size() != n) {
+    throw std::invalid_argument("BitsliceMedium: size mismatch");
+  }
+  validate(payload, lanes, mode, best);
+  const std::uint64_t lane_mask = radio::lane_mask(lanes);
+  const std::uint64_t t0 = now_ns();
+  txlist_.clear();
+  for (graph::NodeId u = 0; u < n; ++u) {
+    if ((tx_mask[u] & lane_mask) != 0) txlist_.push_back(u);
+  }
+  run_round(tx_mask, payload, lanes, out, mode, best, /*from_list=*/false, t0);
+}
+
+void BitsliceMedium::run_active(std::span<const ActiveTx> tx,
+                                PayloadPlanes payload, int lanes,
+                                BatchOutcome& out, FoldMode mode,
+                                KnowledgePlanes best) {
+  validate(payload, lanes, mode, best);
+  const graph::NodeId n = graph_->node_count();
+  const std::uint64_t lane_mask = radio::lane_mask(lanes);
+  const std::uint64_t t0 = now_ns();
+  // Stage the list into active_mask_ (all zero between rounds), collecting
+  // unique transmitters in first-appearance order; only txlist_ nodes are
+  // ever dirty, so un-staging is O(list) too.
+  auto unstage = [&] {
+    for (const graph::NodeId u : txlist_) active_mask_[u] = 0;
+  };
+  txlist_.clear();
+  for (const ActiveTx& e : tx) {
+    if (e.node >= n) {
+      unstage();
+      throw std::invalid_argument("BitsliceMedium: transmitter out of range");
+    }
+    const std::uint64_t m = e.lanes & lane_mask;
+    if (m == 0) continue;
+    std::uint64_t& word = active_mask_[e.node];
+    if (word == 0) txlist_.push_back(e.node);
+    word |= m;
+  }
+  try {
+    run_round(active_mask_, payload, lanes, out, mode, best,
+              /*from_list=*/true, t0);
+  } catch (...) {
+    unstage();
+    throw;
+  }
+  unstage();
+}
+
+void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
+                               PayloadPlanes payload, int lanes,
+                               BatchOutcome& out, FoldMode mode,
+                               KnowledgePlanes best, bool from_list,
+                               std::uint64_t t0) {
   const std::uint64_t lane_mask = radio::lane_mask(lanes);
   out.clear();
   tx_tally_.reset();
   delivered_tally_.reset();
   collided_tally_.reset();
 
-  const std::uint64_t t0 = now_ns();
-  // Prologue: transmitter list, per-lane tallies, and the traversal-volume
-  // estimate that picks the scatter/gather shape and the recovery path.
-  // For a lane-invariant max-fold it also checks whether every transmitter
-  // carries one payload value — a fixed-value relay (flood) folds with no
-  // sender identification at all.
-  txlist_.clear();
+  // Prologue over the collected transmitters: per-lane tallies and the
+  // traversal-volume estimate that picks the scatter/gather shape and the
+  // recovery path. For a lane-invariant max-fold it also checks whether
+  // every transmitter carries one payload value — a fixed-value relay
+  // (flood) folds with no sender identification at all.
   std::uint64_t work = 0;
   bool const_plane = mode == FoldMode::kMaxFold && payload.lane_invariant() &&
                      recovery_ == RecoveryStrategy::kAuto;
   Payload const_value = kNoPayload;
   bool const_seen = false;
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const std::uint64_t m = tx_mask[u] & lane_mask;
-    if (m == 0) continue;
-    tx_tally_.add(m);
-    txlist_.push_back(u);
+  for (const graph::NodeId u : txlist_) {
+    tx_tally_.add(tx_mask[u] & lane_mask);
     work += graph_->degree(u);
     if (const_plane) {
       const Payload p = payload.at(0, u);
@@ -395,7 +456,7 @@ void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
     }
   }
   tx_tally_.extract(out.transmitter_count, lanes);
-  timers_.traverse_ns += now_ns() - t0;
+  (from_list ? timers_.enqueue_ns : timers_.traverse_ns) += now_ns() - t0;
 
   const bool gather = work >= graph_->edge_count();
   const Recover recover = mode == FoldMode::kMasksOnly ? Recover::kNone
@@ -404,7 +465,7 @@ void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
                                                            work, gather);
 
   if (recover == Recover::kConstFold) {
-    run_core(tx_mask, lane_mask, lanes, work, out, Recover::kNone,
+    run_core(tx_mask, lane_mask, lanes, work, out, Recover::kNone, from_list,
              [](graph::NodeId, graph::NodeId, std::uint64_t) {});
     const std::uint64_t tr = now_ns();
     const std::size_t bls = best.lane_stride();
@@ -431,7 +492,7 @@ void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
   // group instead of once per delivered lane.
   const bool invariant = payload.lane_invariant();
   if (mode == FoldMode::kSenders) {
-    run_core(tx_mask, lane_mask, lanes, work, out, recover,
+    run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
              [&](const graph::NodeId v, const graph::NodeId u,
                  std::uint64_t hit) {
                if (invariant) {
@@ -455,7 +516,7 @@ void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
   } else if (mode == FoldMode::kMaxFold) {
     const std::size_t bls = best.lane_stride();
     const std::size_t pls = payload.lane_stride();
-    run_core(tx_mask, lane_mask, lanes, work, out, recover,
+    run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
              [&](const graph::NodeId v, const graph::NodeId u,
                  std::uint64_t hit) {
                Payload* const brow = best.row(v);
@@ -479,7 +540,7 @@ void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
                }
              });
   } else {
-    run_core(tx_mask, lane_mask, lanes, work, out, recover,
+    run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
              [](graph::NodeId, graph::NodeId, std::uint64_t) {});
   }
 }
@@ -496,12 +557,23 @@ void BitsliceMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
                                        PayloadPlanes payload, int lanes,
                                        KnowledgePlanes best,
                                        BatchOutcome& out) {
-  const graph::NodeId n = graph_->node_count();
-  if (best.plane_size() < n || lanes > best.lane_capacity()) {
-    throw std::invalid_argument(
-        "BitsliceMedium::resolve_batch_max: best too small");
-  }
   run_batch(tx_mask, payload, lanes, out, FoldMode::kMaxFold, best);
+}
+
+void BitsliceMedium::resolve_batch_active(std::span<const ActiveTx> tx,
+                                          PayloadPlanes payload, int lanes,
+                                          BatchOutcome& out,
+                                          bool with_senders) {
+  run_active(tx, payload, lanes, out,
+             with_senders ? FoldMode::kSenders : FoldMode::kMasksOnly,
+             KnowledgePlanes(std::span<Payload>{}));
+}
+
+void BitsliceMedium::resolve_batch_max_active(std::span<const ActiveTx> tx,
+                                              PayloadPlanes payload, int lanes,
+                                              KnowledgePlanes best,
+                                              BatchOutcome& out) {
+  run_active(tx, payload, lanes, out, FoldMode::kMaxFold, best);
 }
 
 void BitsliceMedium::resolve(std::span<const graph::NodeId> transmitters,
@@ -510,22 +582,20 @@ void BitsliceMedium::resolve(std::span<const graph::NodeId> transmitters,
   if (transmitters.size() != tx_payload.size()) {
     throw std::invalid_argument("BitsliceMedium::resolve: size mismatch");
   }
-  // Materialise a one-lane mask; cleared sparsely afterwards so repeated
-  // rounds stay proportional to the transmitter set.
-  for (std::size_t i = 0; i < transmitters.size(); ++i) {
+  const graph::NodeId n = graph_->node_count();
+  // Back to front, so a duplicate's first payload is the one kept.
+  active1_.resize(transmitters.size());
+  for (std::size_t i = transmitters.size(); i-- > 0;) {
     const graph::NodeId u = transmitters[i];
-    if (mask1_[u] != 0) continue;  // duplicate: first payload wins
-    mask1_[u] = 1;
+    if (u >= n) {
+      throw std::invalid_argument(
+          "BitsliceMedium::resolve: transmitter out of range");
+    }
     payload1_[u] = tx_payload[i];
+    active1_[i] = {u, 1};
   }
-  resolve_batch(mask1_, payload1_, 1, batch_out_);
-  for (const graph::NodeId u : transmitters) {
-    // Clear the payload alongside the mask: a stale payload1_ entry must
-    // never survive into a later round's plane view (pinned by the
-    // repeated-round duplicate-transmitter regression test).
-    mask1_[u] = 0;
-    payload1_[u] = kNoPayload;
-  }
+  run_active(active1_, std::span<const Payload>(payload1_), 1, batch_out_,
+             FoldMode::kSenders, KnowledgePlanes(std::span<Payload>{}));
 
   out.deliveries.clear();
   out.collided_nodes.clear();

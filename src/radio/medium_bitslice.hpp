@@ -22,6 +22,12 @@
 // registers, id words stored only for winning listeners); the per-edge id
 // update and the per-delivery id extraction run through the AVX2 kernels
 // in radio/simd.hpp behind runtime dispatch, with scalar fallbacks.
+//
+// A round enters either as an n-word transmit mask (resolve_batch*) or as
+// a sparse ActiveTx list (resolve_batch*_active, and resolve() with one
+// lane). The list form builds the prologue from the list itself and
+// stages the mask in lazily-cleared scratch, so a sparse-tail round costs
+// O(active work) with no 0..n scan; from there both forms run one kernel.
 #pragma once
 
 #include <array>
@@ -40,8 +46,8 @@ class BitsliceMedium final : public Medium {
 
   std::string_view name() const override { return "bitslice"; }
 
-  /// Single-instance rounds run through the batch kernel with one lane, so
-  /// the facade path and the batch path exercise the same code.
+  /// Single-instance rounds run through the sparse-list path with one
+  /// lane, so the facade and the batch entry points share one kernel.
   void resolve(std::span<const graph::NodeId> transmitters,
                std::span<const Payload> tx_payload,
                SparseOutcome& out) override;
@@ -57,6 +63,18 @@ class BitsliceMedium final : public Medium {
   void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
                          PayloadPlanes payload, int lanes,
                          KnowledgePlanes best, BatchOutcome& out) override;
+
+  /// Sparse-list entry points: the prologue is built from the list (no
+  /// 0..n mask scan), so a round costs O(active work); the traversal,
+  /// recovery and const-fold are the dense entry points' own. These rounds
+  /// report their traversal in enqueue_ns and output scan in drain_ns.
+  void resolve_batch_active(std::span<const ActiveTx> tx,
+                            PayloadPlanes payload, int lanes, BatchOutcome& out,
+                            bool with_senders = true) override;
+  void resolve_batch_max_active(std::span<const ActiveTx> tx,
+                                PayloadPlanes payload, int lanes,
+                                KnowledgePlanes best,
+                                BatchOutcome& out) override;
 
   /// Sender-id plane words per listener: ceil(log2 n), at least 1.
   std::uint32_t id_bits() const { return idbits_; }
@@ -90,13 +108,32 @@ class BitsliceMedium final : public Medium {
     kConstFold
   };
 
+  /// Throws unless the payload view, lane count and (for a max-fold) the
+  /// knowledge planes fit this graph.
+  void validate(PayloadPlanes payload, int lanes, FoldMode mode,
+                KnowledgePlanes best) const;
+  /// Dense entry: collects txlist_ by scanning tx_mask, then run_round.
   void run_batch(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
                  int lanes, BatchOutcome& out, FoldMode mode,
                  KnowledgePlanes best);
+  /// Sparse entry: ORs each entry's live lanes into active_mask_ and
+  /// collects txlist_ (unique nodes, first-appearance order), runs
+  /// run_round over that mask, and re-zeroes it — also when an
+  /// out-of-range entry or the round throws.
+  void run_active(std::span<const ActiveTx> tx, PayloadPlanes payload,
+                  int lanes, BatchOutcome& out, FoldMode mode,
+                  KnowledgePlanes best);
+  /// One round over the transmitters in txlist_: prologue (tallies,
+  /// traversal volume, const-plane check), recovery choice, run_core with
+  /// the mode's sink. `t0` is when the round's transmitter collection
+  /// began; `from_list` routes the phase time to enqueue_ns/drain_ns.
+  void run_round(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
+                 int lanes, BatchOutcome& out, FoldMode mode,
+                 KnowledgePlanes best, bool from_list, std::uint64_t t0);
   template <class Sink>
   void run_core(std::span<const std::uint64_t> tx_mask, std::uint64_t lane_mask,
                 int lanes, std::uint64_t work, BatchOutcome& out,
-                Recover recover, Sink&& sink);
+                Recover recover, bool from_list, Sink&& sink);
   /// Applies the RecoveryStrategy knob to this round's traversal shape;
   /// kAuto fuses a row re-walk into gather rounds and, for scatter rounds,
   /// predicts id planes vs the deferred scan from the traversal volume and
@@ -155,8 +192,14 @@ class BitsliceMedium final : public Medium {
   LaneCounter delivered_tally_;
   LaneCounter collided_tally_;
 
-  // Scratch for the single-instance resolve() adapter.
-  std::vector<std::uint64_t> mask1_;
+  // Sparse-list transmit mask (node_count words): all zero between
+  // rounds; run_active fills it from the list and re-zeroes txlist_.
+  std::vector<std::uint64_t> active_mask_;
+
+  // Scratch for the single-instance resolve() facade: its one-lane list
+  // and a per-node payload plane (only this round's transmitters' entries
+  // are ever read, so stale entries need no clearing).
+  std::vector<ActiveTx> active1_;
   std::vector<Payload> payload1_;
   BatchOutcome batch_out_;
 };

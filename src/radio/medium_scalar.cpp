@@ -31,11 +31,18 @@ void ScalarMedium::resolve(std::span<const graph::NodeId> transmitters,
   out.collided_count = 0;
   out.active_listeners = 0;
 
+  const graph::NodeId n = graph_->node_count();
   ++epoch_;
   txlist_.clear();
   std::uint64_t work = 0;
   for (std::size_t i = 0; i < transmitters.size(); ++i) {
     const graph::NodeId u = transmitters[i];
+    if (u >= n) {
+      // Stamps already written belong to this epoch; the next round bumps
+      // it, so nothing needs undoing.
+      throw std::invalid_argument(
+          "ScalarMedium::resolve: transmitter out of range");
+    }
     if (tx_stamp_[u] == epoch_) continue;  // duplicate entry: process once
     tx_stamp_[u] = epoch_;
     payload_of_[u] = tx_payload[i];
@@ -46,7 +53,6 @@ void ScalarMedium::resolve(std::span<const graph::NodeId> transmitters,
 
   const obs::TraceSpan trace_span("scalar.round", "tx", txlist_.size());
   const std::uint64_t t0 = now_ns();
-  const graph::NodeId n = graph_->node_count();
   if (2 * work >= n) {
     resolve_dense(out);
   } else {

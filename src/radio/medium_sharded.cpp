@@ -87,14 +87,8 @@ int numa_group_count() {
 
 ShardedMedium::ShardedMedium(const graph::Graph& g, CollisionModel model,
                              int threads, int slices)
-    : Medium(g, model) {
+    : Medium(g, model), scalar_(g, model) {
   const graph::NodeId n = g.node_count();
-  tx_stamp_.assign(n, 0);
-  payload_of_.assign(n, kNoPayload);
-  stamp_.assign(n, 0);
-  tx_count_.assign(n, 0);
-  tx_from_.assign(n, graph::kInvalidNode);
-  pending_payload_.assign(n, kNoPayload);
   one_.assign(n, 0);
   two_.assign(n, 0);
 
@@ -310,91 +304,15 @@ void ShardedMedium::build_slice_tx() {
 void ShardedMedium::run_slice(std::size_t si) {
   Slice& s = slices_[si];
   s.active = 0;
-  switch (mode_) {
-    case RoundMode::kScalarDense:
-    case RoundMode::kScalarScatter:
-      s.deliveries.clear();
-      s.collided.clear();
-      s.collided_count = 0;
-      if (mode_ == RoundMode::kScalarDense) {
-        run_slice_scalar_dense(s);
-      } else {
-        run_slice_scalar_scatter(s);
-      }
-      break;
-    case RoundMode::kBatchGather:
-    case RoundMode::kBatchScatter:
-      s.delivered_b.clear();
-      s.deliveries_b.clear();
-      s.collisions_b.clear();
-      s.delivered_tally.reset();
-      s.collided_tally.reset();
-      if (mode_ == RoundMode::kBatchGather) {
-        run_slice_batch_gather(s);
-      } else {
-        run_slice_batch_scatter(s);
-      }
-      break;
-  }
-}
-
-void ShardedMedium::run_slice_scalar_dense(Slice& s) {
-  // Listener-centric gather: scan my listeners' rows against the
-  // transmitter stamps; early-exit once the outcome is certain (a
-  // transmitting listener only needs to know whether it was woken).
-  for (graph::NodeId v = s.lo; v < s.hi; ++v) {
-    const bool is_tx = tx_stamp_[v] == epoch_;
-    const std::uint32_t stop = is_tx ? 1u : 2u;
-    std::uint32_t count = 0;
-    graph::NodeId from = graph::kInvalidNode;
-    for (const graph::NodeId u : graph_->neighbors(v)) {
-      if (tx_stamp_[u] != epoch_) continue;
-      from = u;
-      if (++count >= stop) break;
-    }
-    if (count != 0) ++s.active;
-    if (is_tx) continue;  // half-duplex
-    if (count == 1) {
-      s.deliveries.push_back({v, from, payload_of_[from]});
-    } else if (count >= 2) {
-      ++s.collided_count;
-      if (model_ == CollisionModel::kDetection) {
-        s.collided.push_back(v);
-      }
-    }
-  }
-}
-
-void ShardedMedium::run_slice_scalar_scatter(Slice& s) {
-  // Scatter each transmitter's pre-segmented row run into my listener
-  // interval; listeners reset lazily by epoch stamp.
-  s.touched.clear();
-  for (const SliceTx& t : s.tx) {
-    const auto row = graph_->neighbors(t.u);
-    const Payload p = payload_of_[t.u];
-    for (std::uint32_t i = t.begin; i < t.end; ++i) {
-      const graph::NodeId v = row[i];
-      if (stamp_[v] != epoch_) {
-        stamp_[v] = epoch_;
-        tx_count_[v] = 0;
-        s.touched.push_back(v);
-      }
-      ++tx_count_[v];
-      pending_payload_[v] = p;
-      tx_from_[v] = t.u;
-    }
-  }
-  s.active = static_cast<std::uint32_t>(s.touched.size());
-  for (const graph::NodeId v : s.touched) {
-    if (tx_stamp_[v] == epoch_) continue;  // half-duplex
-    if (tx_count_[v] == 1) {
-      s.deliveries.push_back({v, tx_from_[v], pending_payload_[v]});
-    } else {
-      ++s.collided_count;
-      if (model_ == CollisionModel::kDetection) {
-        s.collided.push_back(v);
-      }
-    }
+  s.delivered_b.clear();
+  s.deliveries_b.clear();
+  s.collisions_b.clear();
+  s.delivered_tally.reset();
+  s.collided_tally.reset();
+  if (gather_) {
+    run_slice_batch_gather(s);
+  } else {
+    run_slice_batch_scatter(s);
   }
 }
 
@@ -592,7 +510,7 @@ void ShardedMedium::run_batch(std::span<const std::uint64_t> tx_mask,
   tx_tally_.extract(out.transmitter_count, lanes);
 
   const bool gather = work >= graph_->edge_count();
-  mode_ = gather ? RoundMode::kBatchGather : RoundMode::kBatchScatter;
+  gather_ = gather;
   fold_ = mode;
   const_fold_ = const_plane;
   const_value_ = const_value;
@@ -671,61 +589,14 @@ void ShardedMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
 void ShardedMedium::resolve(std::span<const graph::NodeId> transmitters,
                             std::span<const Payload> tx_payload,
                             SparseOutcome& out) {
-  if (transmitters.size() != tx_payload.size()) {
-    throw std::invalid_argument("ShardedMedium::resolve: size mismatch");
-  }
-  out.deliveries.clear();
-  out.collided_nodes.clear();
-  out.transmitter_count = 0;
-  out.collided_count = 0;
-  out.active_listeners = 0;
-
-  const obs::TraceSpan trace_span("sharded.round_scalar", "tx",
-                                  transmitters.size());
-  const std::uint64_t t0 = now_ns();
-  ++epoch_;
-  txlist_.clear();
-  std::uint64_t work = 0;
-  for (std::size_t i = 0; i < transmitters.size(); ++i) {
-    const graph::NodeId u = transmitters[i];
-    if (tx_stamp_[u] == epoch_) continue;
-    tx_stamp_[u] = epoch_;
-    payload_of_[u] = tx_payload[i];
-    txlist_.push_back(u);
-    work += graph_->degree(u);
-  }
-  out.transmitter_count = static_cast<std::uint32_t>(txlist_.size());
-  // The dense gather scans every listener's full row (2m edge visits in
-  // total), so it only beats the scatter's sum-of-transmitter-degrees
-  // volume once transmitters cover at least half of all adjacency.
-  const bool dense = work >= graph_->edge_count();
-  mode_ = dense ? RoundMode::kScalarDense : RoundMode::kScalarScatter;
-  if (!dense) build_slice_tx();
-  kick_and_wait();
-
-  // Slice resolution fuses accumulation and emission per slice, so the
-  // whole parallel section counts as traversal; only the merge below is
-  // attributable to the output phase.
-  const std::uint64_t t1 = now_ns();
-  timers_.traverse_ns += t1 - t0;
-
-  // Deterministic merge: slice-index order, regardless of which worker
-  // ran which slice.
-  for (const auto& s : slices_) {
-    out.deliveries.insert(out.deliveries.end(), s.deliveries.begin(),
-                          s.deliveries.end());
-    out.collided_nodes.insert(out.collided_nodes.end(), s.collided.begin(),
-                              s.collided.end());
-    out.collided_count += s.collided_count;
-    out.active_listeners += s.active;
-  }
-  timers_.active_listeners += out.active_listeners;
-  const std::uint64_t t2 = now_ns();
-  timers_.output_ns += t2 - t1;
-  static obs::Histogram& round_hist =
-      obs::Metrics::global().histogram("radio.sharded.round_ns");
-  round_hist.record(t2 - t0);
-  ++timers_.rounds;
+  scalar_.reset_phase_timers();
+  scalar_.resolve(transmitters, tx_payload, out);
+  // The scalar kernel fills these four; the rest stay zero there.
+  const PhaseTimers& t = scalar_.phase_timers();
+  timers_.traverse_ns += t.traverse_ns;
+  timers_.output_ns += t.output_ns;
+  timers_.active_listeners += t.active_listeners;
+  timers_.rounds += t.rounds;
 }
 
 }  // namespace radiocast::radio

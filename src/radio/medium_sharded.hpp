@@ -21,9 +21,10 @@
 // (radio/simd.hpp gather rows, saturating bitplane adds, clearing row-scan
 // sender recovery), so the batch entry points no longer fall back to the
 // per-lane decomposition: one worker's slice pass is itself 64-way
-// bit-parallel. Scalar resolve() runs the same slice machinery with the
-// classic scalar kernels. RecoveryStrategy is accepted but, like the
-// frontier backend, does not change the path (senders are recovered by row
+// bit-parallel. Single-lane resolve() delegates to an owned ScalarMedium:
+// one lane gives the pool too little work per slice to pay for the
+// fan-out, so scalar is faster at every density. RecoveryStrategy is
+// accepted but does not change the path (senders are recovered by row
 // scan); outcomes are identical under every strategy.
 #pragma once
 
@@ -37,6 +38,7 @@
 
 #include "radio/lane_counter.hpp"
 #include "radio/medium.hpp"
+#include "radio/medium_scalar.hpp"
 
 namespace radiocast::radio {
 
@@ -62,6 +64,8 @@ class ShardedMedium final : public Medium {
   /// Steal-granularity slice count (worker-count independent).
   int slice_count() const { return static_cast<int>(slices_.size()); }
 
+  /// Single-lane rounds run on the owned scalar medium; its phase timers
+  /// fold into this medium's, so callers see one set of counters.
   void resolve(std::span<const graph::NodeId> transmitters,
                std::span<const Payload> tx_payload,
                SparseOutcome& out) override;
@@ -92,11 +96,6 @@ class ShardedMedium final : public Medium {
     std::vector<SliceTx> tx;  // this round's transmitters touching me
     std::vector<graph::NodeId> touched;
     std::uint32_t active = 0;
-    // Scalar outputs.
-    std::vector<SparseDelivery> deliveries;
-    std::vector<graph::NodeId> collided;
-    std::uint32_t collided_count = 0;
-    // Batch outputs.
     std::vector<BatchDeliveredMask> delivered_b;
     std::vector<BatchDelivery> deliveries_b;
     std::vector<BatchCollision> collisions_b;
@@ -104,18 +103,9 @@ class ShardedMedium final : public Medium {
     LaneCounter collided_tally;
   };
 
-  /// What this round's slices execute.
-  enum class RoundMode : std::uint8_t {
-    kScalarDense,    // scalar gather over own listeners
-    kScalarScatter,  // scalar scatter from slice tx lists
-    kBatchGather,    // 64-lane gather (simd::gather_row per listener)
-    kBatchScatter    // 64-lane saturating scatter + drain
-  };
   enum class FoldMode : std::uint8_t { kMasksOnly, kSenders, kMaxFold };
 
   void run_slice(std::size_t si);
-  void run_slice_scalar_dense(Slice& s);
-  void run_slice_scalar_scatter(Slice& s);
   void run_slice_batch_gather(Slice& s);
   void run_slice_batch_scatter(Slice& s);
   /// Emits one listener's lane words into the slice buffers; returns the
@@ -157,8 +147,9 @@ class ShardedMedium final : public Medium {
   int worker_count_ = 1;
 
   // Round context: written serially before the parallel phase, read-only
-  // inside it.
-  RoundMode mode_ = RoundMode::kScalarDense;
+  // inside it. gather_ picks the slice kernel: 64-lane gather (simd::
+  // gather_row per listener) or saturating scatter + drain.
+  bool gather_ = false;
   FoldMode fold_ = FoldMode::kMasksOnly;
   const std::uint64_t* round_mask_ = nullptr;
   PayloadPlanes round_payload_{std::span<const Payload>{}};
@@ -167,19 +158,14 @@ class ShardedMedium final : public Medium {
   bool const_fold_ = false;
   Payload const_value_ = kNoPayload;
 
-  // Scalar round state (stamp-versioned, listener-indexed; slices touch
-  // disjoint intervals, so workers share the arrays without locks).
-  std::vector<graph::NodeId> txlist_;
-  std::vector<std::uint64_t> tx_stamp_;
-  std::vector<Payload> payload_of_;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<std::uint32_t> tx_count_;
-  std::vector<graph::NodeId> tx_from_;
-  std::vector<Payload> pending_payload_;
-  std::uint64_t epoch_ = 0;
+  // Single-lane rounds (see resolve()).
+  ScalarMedium scalar_;
 
-  // Batch round state: per-listener saturation words, all-zero between
-  // rounds (each slice's drain re-zeroes what its scatter dirtied).
+  // Batch round state: this round's transmitters, and per-listener
+  // saturation words, all-zero between rounds (each slice's drain
+  // re-zeroes what its scatter dirtied; slices touch disjoint intervals,
+  // so workers share the arrays without locks).
+  std::vector<graph::NodeId> txlist_;
   std::vector<std::uint64_t> one_;
   std::vector<std::uint64_t> two_;
   LaneCounter tx_tally_;

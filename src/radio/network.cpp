@@ -21,12 +21,6 @@ void Network::resolve(std::span<const graph::NodeId> transmitters,
   total_collided_ += out.collided_count;
 }
 
-void Network::step_sparse(const std::vector<graph::NodeId>& transmitters,
-                          const std::vector<Payload>& tx_payload,
-                          SparseOutcome& out) {
-  resolve(transmitters, tx_payload, out);
-}
-
 void Network::step(const std::vector<std::uint8_t>& transmit,
                    const std::vector<Payload>& payload, RoundOutcome& out) {
   const graph::NodeId n = graph_->node_count();

@@ -2,17 +2,18 @@
 // per-node receptions under the chosen collision model.
 //
 // Network is the facade protocols talk to. The interference rule itself
-// lives behind the pluggable radio::Medium interface (medium.hpp) with
-// scalar / bitslice / sharded backends; Network owns one backend, keeps
-// the cross-round counters, and offers three views of a round:
+// lives behind the pluggable radio::Medium interface (medium.hpp; see
+// MediumKind for the backends); Network owns one backend, keeps the
+// cross-round counters, and offers two views of a round:
 //
-//   resolve()     — the unified entry point: transmitter list in, sparse
-//                   outcome out (the backend adaptively picks its dense or
-//                   frontier path from transmitter density)
-//   step()        — dense per-node vectors in/out, for schedule-driven
-//                   callers; a thin adapter over resolve()
-//   step_sparse() — legacy name for resolve(), kept for callers written
-//                   against the pre-backend API
+//   resolve() — the unified entry point: transmitter list in, sparse
+//               outcome out (the backend adaptively picks its dense or
+//               sparse path from transmitter density)
+//   step()    — dense per-node vectors in/out, for schedule-driven
+//               callers; a thin adapter over resolve()
+//
+// plus the one-lane LaneExecutor entry points (step_lanes*), also
+// adapters over resolve().
 //
 // A correctness bug in collision semantics would affect every experiment
 // identically — which is why the semantics are pinned by an exhaustive
@@ -64,25 +65,16 @@ class Network : public LaneExecutor {
   Medium& medium() override { return *medium_; }
   const Medium& medium() const { return *medium_; }
 
-  /// Legacy nested names; the types now live at namespace scope so the
-  /// Medium interface can use them.
-  using SparseDelivery = radio::SparseDelivery;
-  using SparseOutcome = radio::SparseOutcome;
-
   /// The unified entry point: resolves one round given only the
   /// transmitter list (everyone else listens). Duplicates are counted
-  /// once. Cost is O(sum of transmitter degrees) on the sparse path; the
-  /// backend switches to a dense path when most of the graph is active.
+  /// once; an id >= node_count() throws std::invalid_argument. Cost is
+  /// O(sum of transmitter degrees) on the sparse path; the backend
+  /// switches to a dense path when most of the graph is active.
   /// Under CollisionModel::kDetection, out.collided_nodes lists the
   /// listeners that perceived a collision (matching the dense path's
   /// Reception::kCollision); without detection it stays empty.
   void resolve(std::span<const graph::NodeId> transmitters,
                std::span<const Payload> tx_payload, SparseOutcome& out);
-
-  /// Legacy name for resolve().
-  void step_sparse(const std::vector<graph::NodeId>& transmitters,
-                   const std::vector<Payload>& tx_payload,
-                   SparseOutcome& out);
 
   /// Resolves one round from dense per-node vectors. `transmit[v]` says
   /// whether v transmits and `payload[v]` what it sends (ignored when not

@@ -104,7 +104,7 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
 
   // Deep Decay steps are sparse by construction (2^-step participation):
   // when few nodes transmit, route through the sparse entry points so the
-  // frontier backend resolves the step in O(active work). The dense-mask
+  // bitslice backend resolves the step in O(active work). The dense-mask
   // scan above already happened (the coin stream must stay a pure function
   // of the draw history), so this only moves the medium-side cost; the
   // active list is built in increasing node order and the dense adapters

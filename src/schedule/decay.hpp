@@ -51,7 +51,7 @@ std::uint32_t decay_round_length(std::uint32_t n);
 /// lanes. Deliveries fold into `best` through the executor's step_lanes_max
 /// (no per-delivery records). Deep steps with few transmitters route through
 /// the sparse step_lanes_max_active entry point, so tail rounds cost
-/// O(active work) on the frontier backend — outcomes are identical either
+/// O(active work) on the bitslice backend — outcomes are identical either
 /// way (the coin stream never depends on the path taken). Returns the
 /// number of deliveries summed over lanes.
 std::uint32_t decay_step_lanes(radio::LaneExecutor& net,

@@ -47,8 +47,8 @@ struct ReplicationRecord {
   double phase_recover_ns = 0.0;
   /// Woken listeners attributed to this replication (its share of the
   /// medium's PhaseTimers active_listeners rollup) — the O(active) cost
-  /// evidence for the event-driven frontier backend; 0 on backends that
-  /// don't track the active set.
+  /// evidence for sparse rounds; 0 on backends that don't track the
+  /// active set.
   double active_listeners = 0.0;
 };
 

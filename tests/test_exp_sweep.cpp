@@ -512,11 +512,11 @@ TEST(Report, JsonCarriesSchemaVersionFirst) {
   EXPECT_TRUE(quiet.str().empty());
 }
 
-// Schema v3: timed points must carry the event-driven frontier backend's
-// counters AND the work-stealing pool counters (zero on other backends,
-// but always present, so consumers never probe for optional keys);
-// untimed points stay timing-free.
-TEST(Report, TimingBlockCarriesFrontierCounters) {
+// Schema v3: timed points must carry the sparse-list phase counters AND
+// the work-stealing pool counters (zero on other backends, but always
+// present, so consumers never probe for optional keys); untimed points
+// stay timing-free.
+TEST(Report, TimingBlockCarriesSparseAndPoolCounters) {
   EXPECT_EQ(kSchemaVersion, 3);
   PointMeta meta;
   meta.family = "gnp";

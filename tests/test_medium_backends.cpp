@@ -661,10 +661,10 @@ TEST(MediumBackends, RecoveryStrategyPinsThePath) {
   EXPECT_EQ(medium->phase_timers().idplane_rounds, 0u);
 }
 
-// Satellite regression: the single-lane resolve() adapter must not leak a
-// transmitter's payload into later rounds — mask1_ and payload1_ are both
-// cleared in the epilogue, so repeated rounds with duplicate transmitter
-// entries keep delivering each round's own (first-occurrence) payload.
+// Regression: the single-lane resolve() facade must not leak a
+// transmitter's payload into later rounds, so repeated rounds with
+// duplicate transmitter entries keep delivering each round's own
+// (first-occurrence) payload.
 TEST(MediumBackends, DuplicateTransmittersRepeatedRoundsStayFresh) {
   const Graph g = graph::star(6);
   for (const MediumKind kind : kAllKinds) {
@@ -686,6 +686,47 @@ TEST(MediumBackends, DuplicateTransmittersRepeatedRoundsStayFresh) {
       medium->resolve(std::vector<NodeId>{3}, std::vector<Payload>{55}, other);
       ASSERT_EQ(other.deliveries.size(), 1u) << to_string(kind);
       EXPECT_EQ(other.deliveries[0].payload, 55u);
+    }
+  }
+}
+
+// resolve() with a transmitter id >= n must throw on every backend (it
+// used to index per-node arrays unchecked), and the medium must stay
+// usable: the next valid round resolves exactly like a fresh medium's.
+TEST(MediumBackends, OutOfRangeTransmitterThrowsAndMediumRecovers) {
+  util::Rng rng(83);
+  const Graph g = graph::gnp(50, 0.1, rng);
+  const NodeId n = g.node_count();
+  std::vector<NodeId> tx;
+  std::vector<Payload> pay;
+  for (NodeId v = 0; v < n; v += 7) {
+    tx.push_back(v);
+    pay.push_back(200 + v);
+  }
+  for (const MediumKind kind : kAllKinds) {
+    for (const CollisionModel model :
+         {CollisionModel::kNoDetection, CollisionModel::kDetection}) {
+      auto medium = make_medium(kind, g, model, 2);
+      SparseOutcome out;
+      // The bad id last, so valid entries before it have touched state.
+      std::vector<NodeId> bad_tx = tx;
+      std::vector<Payload> bad_pay = pay;
+      bad_tx.push_back(n + 1);
+      bad_pay.push_back(7);
+      EXPECT_THROW(medium->resolve(bad_tx, bad_pay, out), std::invalid_argument)
+          << to_string(kind);
+      Network net(g, model, kind, 2);
+      EXPECT_THROW(net.resolve(std::vector<NodeId>{n}, std::vector<Payload>{7},
+                               out),
+                   std::invalid_argument)
+          << to_string(kind);
+      EXPECT_EQ(net.rounds_elapsed(), 0u) << to_string(kind);
+
+      auto fresh = make_medium(kind, g, model, 2);
+      SparseOutcome want;
+      fresh->resolve(tx, pay, want);
+      medium->resolve(tx, pay, out);
+      EXPECT_EQ(normalize(out), normalize(want)) << to_string(kind);
     }
   }
 }

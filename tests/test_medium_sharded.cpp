@@ -3,7 +3,7 @@
 // order, and workers only move cost — so every observable (deliveries,
 // order included; masks; planes; counters) must be BYTE-IDENTICAL for any
 // worker count and any steal interleaving. Plus the node-major/lane-major
-// knowledge-plane differential across all four backends: the layout is a
+// knowledge-plane differential across all three backends: the layout is a
 // view, never a semantic.
 #include "radio/medium_sharded.hpp"
 
@@ -221,7 +221,7 @@ TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
   const Graph g = graph::gnp(140, 0.06, rng);
   const NodeId n = g.node_count();
   constexpr MediumKind kAll[] = {MediumKind::kScalar, MediumKind::kBitslice,
-                                 MediumKind::kSharded, MediumKind::kFrontier};
+                                 MediumKind::kSharded};
   for (const int lanes : {7, 64}) {
     const auto tx_mask = random_mask(n, lanes, 0.2, rng);
     // Same logical payloads in both layouts.

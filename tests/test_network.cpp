@@ -167,7 +167,7 @@ TEST(Network, SizeMismatchThrows) {
   EXPECT_THROW(net.step(tx, pay, out), std::invalid_argument);
 }
 
-// --- step_sparse must agree exactly with the dense rule -------------------
+// --- resolve() must agree exactly with the dense rule ---------------------
 
 TEST(NetworkSparse, AgreesWithDenseOnRandomRounds) {
   util::Rng rng(99);
@@ -188,8 +188,8 @@ TEST(NetworkSparse, AgreesWithDenseOnRandomRounds) {
       }
     }
     const auto d = dense.step(tx, pay);
-    Network::SparseOutcome s;
-    sparse.step_sparse(tx_nodes, tx_pay, s);
+    SparseOutcome s;
+    sparse.resolve(tx_nodes, tx_pay, s);
     EXPECT_EQ(s.transmitter_count, d.transmitter_count);
     EXPECT_EQ(s.collided_count, d.collided_count);
     EXPECT_EQ(s.deliveries.size(), d.delivered_count);
@@ -204,8 +204,9 @@ TEST(NetworkSparse, AgreesWithDenseOnRandomRounds) {
 TEST(NetworkSparse, DeduplicatesTransmitters) {
   const Graph g = graph::path(2);
   Network net(g);
-  Network::SparseOutcome out;
-  net.step_sparse({0, 0, 0}, {5, 5, 5}, out);
+  SparseOutcome out;
+  net.resolve(std::vector<NodeId>{0, 0, 0}, std::vector<Payload>{5, 5, 5},
+              out);
   EXPECT_EQ(out.transmitter_count, 1u);
   ASSERT_EQ(out.deliveries.size(), 1u);
   EXPECT_EQ(out.deliveries[0].node, 1u);
@@ -215,18 +216,18 @@ TEST(NetworkSparse, DeduplicatesTransmitters) {
 TEST(NetworkSparse, HalfDuplexRespected) {
   const Graph g = graph::path(2);
   Network net(g);
-  Network::SparseOutcome out;
-  net.step_sparse({0, 1}, {5, 6}, out);
+  SparseOutcome out;
+  net.resolve(std::vector<NodeId>{0, 1}, std::vector<Payload>{5, 6}, out);
   EXPECT_TRUE(out.deliveries.empty());
 }
 
 TEST(NetworkSparse, MismatchThrows) {
   const Graph g = graph::path(3);
   Network net(g);
-  Network::SparseOutcome out;
+  SparseOutcome out;
   std::vector<graph::NodeId> tx{0};
   std::vector<Payload> pay;
-  EXPECT_THROW(net.step_sparse(tx, pay, out), std::invalid_argument);
+  EXPECT_THROW(net.resolve(tx, pay, out), std::invalid_argument);
 }
 
 }  // namespace

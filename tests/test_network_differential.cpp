@@ -1,5 +1,5 @@
 // Differential test for the radio medium's two code paths: the sparse
-// kernel Network::step_sparse must agree with the dense Network::step on
+// entry point Network::resolve must agree with the dense Network::step on
 // deliveries, payloads, and aggregate counters for ANY graph and transmit
 // set — they implement the same interference rule and every algorithm
 // picks one or the other purely for performance.
@@ -46,8 +46,8 @@ void check_round(const Graph& g, const std::vector<std::uint8_t>& transmit,
     }
   }
   Network sparse_net(g);
-  Network::SparseOutcome sparse;
-  sparse_net.step_sparse(tx_nodes, tx_pay, sparse);
+  SparseOutcome sparse;
+  sparse_net.resolve(tx_nodes, tx_pay, sparse);
 
   // Aggregates.
   EXPECT_EQ(dense.transmitter_count, sparse.transmitter_count);
@@ -122,8 +122,9 @@ TEST(NetworkDifferential, DuplicateTransmittersCountedOnce) {
   const RoundOutcome dense = dense_net.step(transmit, payload);
 
   Network sparse_net(g);
-  Network::SparseOutcome sparse;
-  sparse_net.step_sparse({3, 3, 3}, {7, 7, 7}, sparse);
+  SparseOutcome sparse;
+  sparse_net.resolve(std::vector<NodeId>{3, 3, 3},
+                     std::vector<Payload>{7, 7, 7}, sparse);
 
   EXPECT_EQ(sparse.transmitter_count, 1u);
   EXPECT_EQ(dense.transmitter_count, sparse.transmitter_count);
@@ -140,7 +141,7 @@ TEST(NetworkDifferential, CountersAdvanceIdentically) {
   Network dense_net(g);
   Network sparse_net(g);
   RoundOutcome dense;
-  Network::SparseOutcome sparse;
+  SparseOutcome sparse;
   for (int round = 0; round < 20; ++round) {
     std::vector<std::uint8_t> transmit(g.node_count(), 0);
     std::vector<Payload> payload(g.node_count(), kNoPayload);
@@ -155,7 +156,7 @@ TEST(NetworkDifferential, CountersAdvanceIdentically) {
       }
     }
     dense_net.step(transmit, payload, dense);
-    sparse_net.step_sparse(tx_nodes, tx_pay, sparse);
+    sparse_net.resolve(tx_nodes, tx_pay, sparse);
   }
   EXPECT_EQ(dense_net.rounds_elapsed(), sparse_net.rounds_elapsed());
   EXPECT_EQ(dense_net.total_transmissions(),
