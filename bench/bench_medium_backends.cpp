@@ -9,13 +9,7 @@
 // number is replication throughput; the acceptance bar is bitslice >= 8x
 // scalar.
 //
-// Part 2 — single-instance sharding. Fixed transmitter sets on a large
-// Gnp instance, resolved by the scalar and sharded backends; the sharded
-// backend cuts the listener space into degree-balanced slices, runs them
-// on a work-stealing worker pool, and merges in slice order so outcomes
-// are byte-identical for every worker count.
-//
-// Part 3 — sparse-tail rounds. A geometrically decaying transmitter
+// Part 2 — sparse-tail rounds. A geometrically decaying transmitter
 // schedule on a large Gnp instance (the long-tail shape of Decay back-off
 // and broadcast mop-up phases: after a few dense rounds, almost every
 // round has a handful of transmitters), resolved by bitslice through two
@@ -26,17 +20,17 @@
 // acceptance bar is the list entry >= 5x the mask entry per tail round at
 // n = 1e6 (full mode).
 //
-// Part 4 — knowledge-plane layout. The 64-lane max-fold kernel timed
+// Part 3 — knowledge-plane layout. The 64-lane max-fold kernel timed
 // against node-major vs lane-major best[] planes over one dense round's
 // deliveries; the acceptance bar is node-major >= 1.3x lane-major.
 //
-// Part 5 — two-level sharded batch. 64-lane resolve_batch rounds on the
-// work-stealing sharded backend (slices x lanes) across worker counts,
-// with bitslice as the single-worker reference; outcomes stay
+// Part 4 — pooled dense rounds. 64-lane gather-shaped resolve_batch
+// rounds on bitslice at 1/2/4 workers: the work-stealing pool runs
+// degree-balanced listener slices (slices x lanes); outcomes stay
 // byte-identical for every worker count.
 //
-// --medium=scalar|bitslice|sharded restricts the comparison to
-// one backend (used by the CI smoke matrix); by default all rows run.
+// --medium=scalar|bitslice restricts the comparison to one backend (used
+// by the CI smoke matrix); by default all rows run.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -195,8 +189,9 @@ std::vector<std::vector<double>> flood_bitslice(
 }  // namespace
 
 RADIOCAST_SCENARIO(medium_backends, "medium-backends",
-                   "radio medium backends: bitslice 64-seed batching and "
-                   "sharded parallel rounds vs the scalar kernel") {
+                   "radio medium backends: bitslice 64-seed batching, "
+                   "sparse-tail and pooled dense rounds vs the scalar "
+                   "kernel") {
   const bool quick = ctx.quick();
   const std::uint64_t seed = ctx.seed(7);
   const bool restricted = ctx.cli.has("medium");
@@ -282,66 +277,7 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              "traversal; acceptance bar is >= 8x scalar reps/s)");
   }
 
-  // ---- Part 2: sharded single-instance round throughput ----------------
-  {
-    util::Rng grng(util::mix_seed(seed, 2));
-    const graph::NodeId n = quick ? 20000 : 200000;
-    const graph::Graph g = graph::gnp(n, 10.0 / n, grng);
-    const int iters = quick ? 20 : 50;
-    // Worker-count precedence: --medium-threads, then an explicit
-    // --threads (including 1), then 0 = the backend default (the
-    // RADIOCAST_SHARD_THREADS env var, else hardware).
-    const int threads =
-        ctx.cli.has("medium-threads")
-            ? ctx.medium_threads()
-            : (ctx.cli.has("threads")
-                   ? static_cast<int>(ctx.cli.get_int("threads", 1))
-                   : 0);
-
-    util::Table t({"backend", "tx density", "ns/round", "Mlisteners/s",
-                   "speedup"});
-    for (const double density : {0.002, 0.02, 0.2}) {
-      util::Rng trng(util::mix_seed(seed, static_cast<std::uint64_t>(
-                                              density * 1e4)));
-      std::vector<graph::NodeId> tx;
-      std::vector<radio::Payload> pay;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        if (trng.bernoulli(density)) {
-          tx.push_back(v);
-          pay.push_back(v);
-        }
-      }
-      double scalar_ns = 0.0;
-      for (const radio::MediumKind kind :
-           {radio::MediumKind::kScalar, radio::MediumKind::kSharded}) {
-        if (!enabled(kind)) continue;
-        radio::Network net(g, radio::CollisionModel::kNoDetection, kind,
-                           threads);
-        radio::SparseOutcome out;
-        net.resolve(tx, pay, out);  // warmup
-        const double t0 = now_ms();
-        for (int i = 0; i < iters; ++i) net.resolve(tx, pay, out);
-        const double ns = (now_ms() - t0) * 1e6 / iters;
-        if (kind == radio::MediumKind::kScalar) scalar_ns = ns;
-        t.row()
-            .add(std::string(radio::to_string(kind)))
-            .add(density * 100.0, 1)
-            .add(ns, 0)
-            .add(ns > 0 ? n * 1e3 / ns : 0.0, 1)
-            .add(scalar_ns > 0 && ns > 0 ? scalar_ns / ns : 1.0, 2);
-      }
-    }
-    ctx.emit(t,
-             "single-instance rounds on gnp(n=" + std::to_string(n) +
-                 ", avg_deg~10)",
-             "medium_backends_sharded");
-    ctx.note("(sharded cuts listeners into degree-balanced CSR shards with "
-             "a deterministic merge; its speedup scales with cores — this "
-             "host has hardware_concurrency=" +
-             std::to_string(std::thread::hardware_concurrency()) + ")");
-  }
-
-  // ---- Part 3: sparse-tail rounds, transmitter list vs dense mask -------
+  // ---- Part 2: sparse-tail rounds, transmitter list vs dense mask -------
   if (enabled(radio::MediumKind::kBitslice)) {
     const graph::NodeId n = quick ? 100000 : 1000000;
     const graph::Graph g =
@@ -473,7 +409,7 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              "is >= 5x step_lanes on tail rounds at n=1e6)");
   }
 
-  // ---- Part 4: knowledge-plane layout (node-major vs lane-major) -------
+  // ---- Part 3: knowledge-plane layout (node-major vs lane-major) -------
   // The 64-lane max-fold writes each delivered listener's won lanes into
   // best[]. Lane-major planes scatter those writes across 64 planes (one
   // cache line each, n*sizeof(Payload) apart); node-major keeps a
@@ -562,13 +498,12 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              "contiguous run; acceptance bar is >= 1.3x lane-major)");
   }
 
-  // ---- Part 5: two-level sharded batch (slices x 64 lanes) -------------
-  // Every slice runs the 64-lane bitslice kernel, so the sharded batch is
+  // ---- Part 4: pooled dense rounds (slices x 64 lanes) ----------------
+  // Every slice runs the 64-lane gather kernel, so the pooled round is
   // worker-parallel ON TOP of lane-parallel. Outcomes are byte-identical
   // for every worker count (pinned by tests); this table records how the
   // cost moves with workers on this host.
-  if (enabled(radio::MediumKind::kSharded) ||
-      enabled(radio::MediumKind::kBitslice)) {
+  if (enabled(radio::MediumKind::kBitslice)) {
     util::Rng grng(util::mix_seed(seed, 7));
     const graph::NodeId n = quick ? 20000 : 100000;
     const graph::Graph g = graph::gnp(n, 10.0 / n, grng);
@@ -585,58 +520,42 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
     util::Table t({"backend", "workers", "ns/round", "lane-rounds/s",
                    "scaling"});
     double one_worker_ns = 0.0;
-    auto time_medium = [&](radio::Medium& m) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    for (const int workers : {1, 2, 4}) {
+      if (workers > 1 &&
+          static_cast<unsigned>(workers) > std::max(hw, 1u) * 4) {
+        continue;
+      }
+      auto m = radio::make_medium(radio::MediumKind::kBitslice, g,
+                                  radio::CollisionModel::kNoDetection,
+                                  workers);
       radio::BatchOutcome out;
-      m.resolve_batch(tx_mask, payload, kLanes, out, /*with_senders=*/false);
+      m->resolve_batch(tx_mask, payload, kLanes, out, /*with_senders=*/false);
       const double t0 = now_ms();
       for (int i = 0; i < iters; ++i) {
-        m.resolve_batch(tx_mask, payload, kLanes, out,
-                        /*with_senders=*/false);
+        m->resolve_batch(tx_mask, payload, kLanes, out,
+                         /*with_senders=*/false);
       }
-      return (now_ms() - t0) * 1e6 / iters;
-    };
-    if (enabled(radio::MediumKind::kBitslice)) {
-      auto m = radio::make_medium(radio::MediumKind::kBitslice, g,
-                                  radio::CollisionModel::kNoDetection);
-      const double ns = time_medium(*m);
+      const double ns = (now_ms() - t0) * 1e6 / iters;
+      if (workers == 1) one_worker_ns = ns;
+      const double scaling =
+          one_worker_ns > 0 && ns > 0 ? one_worker_ns / ns : 1.0;
       t.row()
           .add("bitslice")
-          .add(1.0, 0)
+          .add(static_cast<double>(workers), 0)
           .add(ns, 0)
           .add(ns > 0 ? kLanes * 1e9 / ns : 0.0, 0)
-          .add(1.0, 2);
-    }
-    if (enabled(radio::MediumKind::kSharded)) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      for (const int workers : {1, 2, 4}) {
-        if (workers > 1 &&
-            static_cast<unsigned>(workers) > std::max(hw, 1u) * 4) {
-          continue;
-        }
-        auto m = radio::make_medium(radio::MediumKind::kSharded, g,
-                                    radio::CollisionModel::kNoDetection,
-                                    workers);
-        const double ns = time_medium(*m);
-        if (workers == 1) one_worker_ns = ns;
-        t.row()
-            .add("sharded")
-            .add(static_cast<double>(workers), 0)
-            .add(ns, 0)
-            .add(ns > 0 ? kLanes * 1e9 / ns : 0.0, 0)
-            .add(one_worker_ns > 0 && ns > 0 ? one_worker_ns / ns : 1.0, 2);
-        ctx.record({"two-level", workers, ns,
-                    ns > 0 ? kLanes * 1e9 / ns : 0.0,
-                    one_worker_ns > 0 && ns > 0 ? one_worker_ns / ns : 1.0,
-                    "sharded", kLanes, "", 0.0, 0.0, 0.0, 0.0});
-      }
+          .add(scaling, 2);
+      ctx.record({"two-level", workers, ns, ns > 0 ? kLanes * 1e9 / ns : 0.0,
+                  scaling, "bitslice", kLanes, "", 0.0, 0.0, 0.0, 0.0});
     }
     ctx.emit(t,
              "64-lane batch rounds on gnp(n=" + std::to_string(n) +
                  ", avg_deg~10), dense shape",
              "medium_backends_two_level");
-    ctx.note("(sharded = work-stealing slices x 64 bitslice lanes; "
-             "outcomes byte-identical for every worker count — scaling "
-             "needs cores, this host has hardware_concurrency=" +
+    ctx.note("(bitslice gather rounds on the work-stealing pool: slices x "
+             "64 lanes; outcomes byte-identical for every worker count — "
+             "scaling needs cores, this host has hardware_concurrency=" +
              std::to_string(std::thread::hardware_concurrency()) + ")");
   }
 }

@@ -18,7 +18,7 @@
 // own clocks, and the batch returns per-seed success/rounds identical to
 // per-seed scalar runs.
 //
-// --recovery=rowscan|idplanes|auto pins the batch medium's sender-recovery
+// --recovery=rowscan|auto pins the batch medium's sender-recovery
 // path (auto when absent); every JSON record carries the strategy plus the
 // medium's per-phase nanosecond breakdown (kernel traversal vs output scan
 // vs sender recovery), so the recovery hot spot is measured, not asserted.
@@ -128,7 +128,6 @@ std::string phase_note(const std::string& label,
          ms(phases.traverse_ns) + ", output " + ms(phases.output_ns) +
          ", recover " + ms(phases.recover_ns) + "; recovery rounds: " +
          std::to_string(phases.rowscan_rounds) + " rowscan / " +
-         std::to_string(phases.idplane_rounds) + " idplanes / " +
          std::to_string(phases.constfold_rounds) + " constfold)";
 }
 

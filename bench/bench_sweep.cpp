@@ -28,7 +28,7 @@
 //   radiocast_bench sweep --quick --dry-run
 //   radiocast_bench sweep --family=gnp,cliquepath --n=geom:512..8192:5
 //       --p=deg:12 --protocol=decay,compete
-//       --medium=scalar,bitslice,sharded --recovery=auto --reps=16
+//       --medium=scalar,bitslice --recovery=auto --reps=16
 //   radiocast_bench sweep --manifest=grid.json --threads=8
 //   radiocast_bench sweep --resume=bench_out   # finish an interrupted run
 #include <memory>

@@ -67,11 +67,8 @@ void print_usage(const char* program) {
       << "  --recovery=" << choice_values(radiocast::radio::kRecoveryNames)
       << "\n"
       << "                 sender-recovery strategy for batch media\n"
-      << "                 (default auto = per-round cost prediction)\n"
-      << "  --medium-threads=N\n"
-      << "                 sharded-backend worker count (absent = the\n"
-      << "                 RADIOCAST_SHARD_THREADS env var, else hardware;\n"
-      << "                 must be a positive integer when given)\n"
+      << "                 (default auto = row scan fused into dense\n"
+      << "                 rounds; rowscan pins the deferred scan)\n"
       << "  --gen-threads=N\n"
       << "                 graph-generation worker count (absent = the\n"
       << "                 RADIOCAST_GEN_THREADS env var, else hardware;\n"
@@ -94,7 +91,7 @@ void print_usage(const char* program) {
       << "  " << program << " sweep --family=gnp,cliquepath"
       << " --n=512,1024,2048 \\\n"
       << "      --p=deg:12 --protocol=decay"
-      << " --medium=scalar,bitslice,sharded\n"
+      << " --medium=scalar,bitslice\n"
       << "  --manifest=F   read the grid from a JSON manifest file\n"
       << "  --dry-run      list the expanded jobs without running them\n"
       << "  --timing=off   omit wall/phase timing from sweep.csv/json\n"
@@ -187,7 +184,6 @@ int main(int argc, char** argv) {
     const bool is_sweep = cli.subcommand() == "sweep";
     if (cli.has("medium") && !is_sweep) (void)ctx.medium_kind();
     if (cli.has("recovery") && !is_sweep) (void)ctx.recovery_strategy();
-    if (cli.has("medium-threads")) (void)ctx.medium_threads();
     if (cli.has("gen-threads")) (void)ctx.gen_threads();
     if (cli.has("task-timeout")) {
       (void)radiocast::util::parse_positive_int(

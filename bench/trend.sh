@@ -9,8 +9,9 @@
 #   sparse_tail_speedup   bitslice step_lanes_active vs step_lanes
 #                         on tail rounds                          (>= 5x)
 #   fold_layout_speedup   node-major vs lane-major 64-lane fold   (>= 1.3x)
-#   sharded_scaling_w4    sharded 4-worker vs 1-worker batch      (>= 2x,
-#                         enforced only on hosts with >= 4 cores)
+#   sharded_scaling_w4    bitslice 4-worker vs 1-worker dense     (>= 2x,
+#                         batch (key name kept for history)       enforced
+#                         only on hosts with >= 4 cores)
 #
 # Usage:
 #   bench/trend.sh [--quick] [--strict] [--append] [--bench BIN] [--out DIR]
@@ -72,7 +73,7 @@ col() {
 batch=$(col "${out_dir}/medium_backends_batch.csv" '^bitslice,' 'speedup')
 tail_sp=$(col "${out_dir}/medium_backends_sparse_tail.csv" '^step_lanes_active,' 'tail speedup')
 fold=$(col "${out_dir}/medium_backends_fold_layout.csv" '^node-major,' 'speedup')
-scale=$(col "${out_dir}/medium_backends_two_level.csv" '^sharded,4,' 'scaling')
+scale=$(col "${out_dir}/medium_backends_two_level.csv" '^bitslice,4,' 'scaling')
 
 cores=$(nproc 2>/dev/null || echo 1)
 
@@ -119,7 +120,7 @@ check() {
 }
 
 # Bars are calibrated for full mode on the committed baseline host; quick
-# runs report but never enforce. The sharded scaling bar additionally
+# runs report but never enforce. The pool scaling bar additionally
 # needs >= 4 cores to be meaningful.
 enforce=$(( quick == 0 ? 1 : 0 ))
 scale_enforce=${enforce}

@@ -235,7 +235,7 @@ util::Json sweep_json(const SweepSpec& spec,
     cache.set("hits", hits);
     cache.set("misses", misses);
     j.set("cache", std::move(cache));
-    // Grid-wide work-stealing rollup (sharded points only contribute):
+    // Grid-wide work-stealing rollup (pooled bitslice points only contribute):
     // how much imbalance the pool absorbed (steals) vs ate (idle_ns).
     std::uint64_t steal_attempts = 0, steals = 0, idle_ns = 0;
     for (const PointResult& point : results) {

@@ -46,7 +46,7 @@ class Graph {
 
   /// The CSR offset array (size n+1): degree_prefix()[v] is the sum of
   /// degrees of all nodes < v, and degree_prefix()[n] == 2m. Used for
-  /// balanced shard cuts (the sharded radio medium) and any other
+  /// balanced slice cuts (the bitslice medium's gather pool) and any other
   /// adjacency-volume partitioning.
   std::span<const std::uint64_t> degree_prefix() const { return offsets_; }
 

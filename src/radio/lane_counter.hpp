@@ -1,7 +1,6 @@
-// Carry-save per-lane tallies shared by the batch backends (bitslice,
-// sharded): plane j holds bit j of every lane's count, so adding a
-// 64-lane mask is a carry-save ripple (amortized ~2 word ops) instead of
-// one loop iteration per set bit.
+// Carry-save per-lane tallies for the bitslice batch kernel: plane j holds
+// bit j of every lane's count, so adding a 64-lane mask is a carry-save
+// ripple (amortized ~2 word ops) instead of one loop iteration per set bit.
 #pragma once
 
 #include <array>
@@ -26,12 +25,14 @@ struct LaneCounter {
       mask = carry;
     }
   }
-  void extract(std::array<std::uint32_t, kMaxLanes>& out, int lanes) const {
+  /// Adds each lane's count into out[lane], so the tallies of several
+  /// counters (one per pooled slice) sum into one outcome.
+  void add_to(std::array<std::uint32_t, kMaxLanes>& out, int lanes) const {
     for (std::size_t j = 0; j < used; ++j) {
       const std::uint64_t w = plane[j];
       if (w == 0) continue;
       for (int l = 0; l < lanes; ++l) {
-        out[l] |= static_cast<std::uint32_t>(w >> l & 1) << j;
+        out[l] += static_cast<std::uint32_t>(w >> l & 1) << j;
       }
     }
   }

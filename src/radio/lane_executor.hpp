@@ -62,8 +62,8 @@ class LaneExecutor {
   /// instead of an n-word dense mask (see Medium::resolve_batch_active).
   /// Semantics and counters match step_lanes over the equivalent mask;
   /// protocols with small active sets use it so round cost can follow the
-  /// active work instead of n (bitslice resolves the list natively; the
-  /// other backends materialise the mask internally).
+  /// active work instead of n (bitslice resolves the list natively; scalar
+  /// decomposes it per lane).
   virtual void step_lanes_active(std::span<const ActiveTx> tx,
                                  PayloadPlanes payload, BatchOutcome& out,
                                  bool with_senders = true) = 0;

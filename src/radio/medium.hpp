@@ -3,30 +3,28 @@
 //
 // Medium is the seam between protocol logic and the collision kernel:
 // every round a transmitter set goes in and the successful receptions
-// (plus collision evidence) come out. Three backends implement it:
+// (plus collision evidence) come out. Two backends implement it:
 //
 //   scalar   — epoch-stamped reference kernel; resolve() adaptively picks a
 //              frontier (transmitter-scatter) or dense (full-array) path
-//              from the transmitter density
+//              from the transmitter density, and the batch entry points
+//              decompose into one resolve() per lane
 //   bitslice — 64-replication-wide batch kernel: per-listener ">=1 tx" and
 //              ">=2 tx" bitplanes updated with bitwise saturating adds, so
 //              one CSR traversal resolves a round for up to 64 independent
 //              Monte-Carlo lanes at once. Its resolve_batch_active entry
 //              takes the sparse transmitter list directly, so a sparse
-//              round costs O(active work) — never an O(n) mask scan
-//   sharded  — thread-pooled kernel that cuts the listener space into
-//              contiguous CSR shards (balanced by the degree prefix sum)
-//              and resolves 64-lane batches in parallel with a
-//              deterministic merge; single-lane rounds run on scalar
+//              round costs O(active work) — never an O(n) mask scan — and
+//              with more than one worker its dense (gather) rounds run on
+//              a work-stealing pool over degree-balanced listener slices
 //
-// All backends implement identical interference semantics — the
+// Both backends implement identical interference semantics — the
 // cross-backend differential test (tests/test_medium_backends.cpp) holds
 // them to it on random instances under both collision models. Determinism
 // guarantees: for a fixed backend and input, the outcome is always
-// byte-identical (the sharded backend's merge is ordered by shard index,
-// independent of OS scheduling). Delivery order within an outcome is
-// "first touch" order for scalar/bitslice and shard-major first-touch
-// order for sharded batches; consumers must not depend on it beyond
+// byte-identical, for any bitslice worker count (pooled slices merge in
+// slice order, independent of OS scheduling). Delivery order within an
+// outcome is "first touch" order; consumers must not depend on it beyond
 // determinism.
 #pragma once
 
@@ -73,12 +71,12 @@ struct SparseOutcome {
 
 /// Which backend resolves interference. kScalar is the reference; the
 /// others trade generality for throughput (see the file comment).
-enum class MediumKind : std::uint8_t { kScalar, kBitslice, kSharded };
+enum class MediumKind : std::uint8_t { kScalar, kBitslice };
 
 /// Canonical backend names, indexed by MediumKind — the single source of
 /// truth for to_string, parse_medium_kind, and flag validation.
-inline constexpr std::array<std::string_view, 3> kMediumNames{
-    "scalar", "bitslice", "sharded"};
+inline constexpr std::array<std::string_view, 2> kMediumNames{"scalar",
+                                                              "bitslice"};
 
 std::string_view to_string(MediumKind kind);
 /// Parses a kMediumNames entry; throws std::invalid_argument otherwise
@@ -86,30 +84,28 @@ std::string_view to_string(MediumKind kind);
 MediumKind parse_medium_kind(std::string_view name);
 
 /// How a backend that defers sender identification (the bitslice batch
-/// kernel) recovers, for each delivered (listener, lane), WHO transmitted:
+/// kernel) recovers, for each delivered (listener, lane), WHO transmitted.
+/// Both strategies re-walk each winning listener's CSR row against the
+/// transmit masks until every won lane names its sender:
 ///
-///   kRowScan  — re-walk each winning listener's CSR row against the
-///               transmit masks until every won lane names its sender
-///               (output-sized, but random reads over the whole adjacency
-///               when most listeners win somewhere)
-///   kIdPlanes — accumulate ceil(log2 n) sender-id XOR planes per touched
-///               listener during the traversal itself; on a won lane the
-///               XOR of the transmitted ids IS the unique sender's id, so
-///               recovery reads it back in O(idbits) with no second CSR pass
-///   kAuto     — predict the cheaper one per round: id planes cost
-///               ~idbits x traversal volume, the row scan ~the delivered
-///               row volume of the previous sender-recovering round
+///   kAuto     — fused into the traversal on gather (dense) rounds, while
+///               the row is still in cache; a deferred pass over the
+///               delivered listeners on scatter rounds. A lane-invariant
+///               max-fold whose transmitters all carry one value folds
+///               with no sender identification at all
+///   kRowScan  — the deferred pass on every round, no const-fold: the
+///               test/bench pin for the general path
 ///
-/// Results are identical under every strategy (and on backends that
-/// identify senders inline and ignore the knob entirely); only the cost
-/// moves. Pinned by the recovery differential tests.
-enum class RecoveryStrategy : std::uint8_t { kAuto, kRowScan, kIdPlanes };
+/// Results are identical under both (and on backends that identify
+/// senders inline and ignore the knob entirely); only the cost moves.
+/// Pinned by the recovery differential tests.
+enum class RecoveryStrategy : std::uint8_t { kAuto, kRowScan };
 
 /// Canonical strategy names, indexed by RecoveryStrategy — the single
 /// source of truth for to_string, parse_recovery_strategy, and the
 /// --recovery= flag validation.
-inline constexpr std::array<std::string_view, 3> kRecoveryNames{
-    "auto", "rowscan", "idplanes"};
+inline constexpr std::array<std::string_view, 2> kRecoveryNames{"auto",
+                                                                "rowscan"};
 
 std::string_view to_string(RecoveryStrategy strategy);
 /// Parses a kRecoveryNames entry; throws std::invalid_argument otherwise
@@ -120,11 +116,11 @@ RecoveryStrategy parse_recovery_strategy(std::string_view name);
 /// the batch kernel's phases so "where does a round go" is measured, not
 /// asserted. Backends attribute what they can cleanly separate (fused
 /// phases count toward the phase they are fused into) and leave the rest
-/// zero; the rowscan/idplane round counters say which recovery path ran.
+/// zero; the round counters say which recovery path ran.
 struct PhaseTimers {
   std::uint64_t traverse_ns = 0;  // plane accumulation / kernel traversal
   std::uint64_t output_ns = 0;    // output scan: masks, tallies, re-zeroing
-  std::uint64_t recover_ns = 0;   // sender recovery (row scan or id planes)
+  std::uint64_t recover_ns = 0;   // sender recovery (row scan)
   /// Sparse-list phases (bitslice rounds entered through
   /// resolve_batch_active or resolve()): the transmitter-list prologue plus
   /// traversal, and the output scan. Those rounds report these instead of
@@ -137,12 +133,14 @@ struct PhaseTimers {
   std::uint64_t active_listeners = 0;
   std::uint64_t rounds = 0;       // resolve calls accumulated
   std::uint64_t rowscan_rounds = 0;   // rounds recovered by row scan
-  std::uint64_t idplane_rounds = 0;   // rounds recovered from id planes
+  /// Always 0: id-plane recovery is gone, but the field stays because the
+  /// v2 sweep-journal record layout and the perfbench report carry it.
+  std::uint64_t idplane_rounds = 0;
   /// Rounds where the max-fold proved every transmitter carried one
   /// payload value, so deliveries folded with no sender identification.
   std::uint64_t constfold_rounds = 0;
-  /// Work-stealing pool behaviour (the sharded backend; all zero elsewhere
-  /// and in single-worker mode): steal_back attempts against other
+  /// Work-stealing pool behaviour (bitslice gather rounds with more than
+  /// one worker; all zero elsewhere): steal_back attempts against other
   /// workers' deques, the subset that claimed a slice, and the cumulative
   /// ns workers sat finished while the round's slowest worker was still
   /// running (the load-imbalance tail stealing could not absorb).
@@ -432,12 +430,11 @@ class Medium {
   /// protocols can relay lane-local state (see PayloadPlanes).
   /// `with_senders` opts into the per-delivery sender/payload detail
   /// (out.deliveries); the aggregate delivered masks and all counters are
-  /// produced either way. The default implementation decomposes into
-  /// per-lane resolve() calls; the bitslice backend overrides it with the
-  /// one-traversal bitplane kernel.
+  /// produced either way. Scalar decomposes into per-lane resolve() calls;
+  /// bitslice runs the one-traversal bitplane kernel.
   virtual void resolve_batch(std::span<const std::uint64_t> tx_mask,
                              PayloadPlanes payload, int lanes,
-                             BatchOutcome& out, bool with_senders = true);
+                             BatchOutcome& out, bool with_senders = true) = 0;
 
   /// Fold variant of resolve_batch for max-relay protocols (Decay,
   /// Compete): every delivery (v, lane) max-combines its payload straight
@@ -452,27 +449,25 @@ class Medium {
   /// and folding the deliveries afterwards.
   virtual void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
                                  PayloadPlanes payload, int lanes,
-                                 KnowledgePlanes best, BatchOutcome& out);
+                                 KnowledgePlanes best, BatchOutcome& out) = 0;
 
   /// Sparse batched entry point: the transmitter set arrives as a list of
-  /// (node, lane mask) entries instead of an n-word dense mask, so a
-  /// backend that can exploit sparsity (bitslice) resolves the round in
-  /// O(active work) with no per-node scan. Duplicate nodes OR their lane
-  /// masks; entries must satisfy node < node_count (throws otherwise).
-  /// Semantics are identical to resolve_batch over the equivalent dense
-  /// mask — the default implementation materialises that mask into
-  /// lazily-cleared scratch and delegates, so every backend accepts the
-  /// sparse form and differential tests can drive them all through it.
+  /// (node, lane mask) entries instead of an n-word dense mask, so the
+  /// round costs O(active work) with no per-node scan. Duplicate nodes OR
+  /// their lane masks; entries must satisfy node < node_count (throws
+  /// otherwise, leaving the medium usable). Semantics are identical to
+  /// resolve_batch over the equivalent dense mask, so differential tests
+  /// can drive every backend through either form.
   virtual void resolve_batch_active(std::span<const ActiveTx> tx,
                                     PayloadPlanes payload, int lanes,
                                     BatchOutcome& out,
-                                    bool with_senders = true);
+                                    bool with_senders = true) = 0;
 
   /// Fold variant of resolve_batch_active (see resolve_batch_max).
   virtual void resolve_batch_max_active(std::span<const ActiveTx> tx,
                                         PayloadPlanes payload, int lanes,
                                         KnowledgePlanes best,
-                                        BatchOutcome& out);
+                                        BatchOutcome& out) = 0;
 
  protected:
   /// Monotonic nanosecond clock for the phase timers.
@@ -482,32 +477,12 @@ class Medium {
   CollisionModel model_;
   RecoveryStrategy recovery_ = RecoveryStrategy::kAuto;
   PhaseTimers timers_;
-
- private:
-  /// The default sparse adapters' shared body: ORs `tx` into active_dense_
-  /// (range-checked), runs `resolve_dense(mask)`, and leaves the scratch
-  /// all-zero again whether or not anything threw.
-  template <class ResolveDense>
-  void with_active_dense(std::span<const ActiveTx> tx,
-                         ResolveDense&& resolve_dense);
-
-  // Scratch for the default per-lane resolve_batch decomposition.
-  std::vector<graph::NodeId> lane_tx_;
-  std::vector<Payload> lane_payload_;
-  std::vector<std::uint64_t> agg_mask_;
-  std::vector<std::uint64_t> agg_stamp_;
-  std::vector<graph::NodeId> agg_touched_;
-  std::uint64_t agg_epoch_ = 0;
-  SparseOutcome lane_out_;
-  // Dense-mask scratch for the default resolve_batch_active adapter,
-  // cleared sparsely after each call so repeated sparse rounds never pay
-  // an O(n) wipe (the adapter itself still delegates to the dense kernel).
-  std::vector<std::uint64_t> active_dense_;
 };
 
-/// Factory. `threads` only matters for kSharded: the shard/worker count,
-/// 0 meaning a hardware-derived default. `recovery` seeds the
-/// sender-recovery knob (only the bitslice backend honours it).
+/// Factory. `threads` only matters for kBitslice: its gather-round worker
+/// count, 0 meaning the RADIOCAST_SHARD_THREADS environment variable when
+/// set, else 1 (serial). `recovery` seeds the sender-recovery knob (only
+/// the bitslice backend honours it).
 std::unique_ptr<Medium> make_medium(
     MediumKind kind, const graph::Graph& g, CollisionModel model,
     int threads = 0, RecoveryStrategy recovery = RecoveryStrategy::kAuto);

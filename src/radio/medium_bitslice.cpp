@@ -2,111 +2,176 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radio/simd.hpp"
+#include "radio/steal_pool.hpp"
+#include "util/parse.hpp"
 
 namespace radiocast::radio {
 
 namespace {
 
-// kAuto's scatter cost model: accumulating id planes costs ~idbits
-// streaming word-XORs per traversed edge (the per-transmitter spread is
-// hoisted out of the row loop, so the compiler vectorizes the rest), while
-// the deferred row scan costs ~1 random adjacency + transmit-mask read per
-// entry of every delivered listener's row. The factor calibrates that
-// exchange rate (random reads are worth a few streaming XORs each).
-constexpr std::uint64_t kRowScanCostFactor = 4;
+// Worker count when the caller passes threads == 0: the
+// RADIOCAST_SHARD_THREADS environment variable when set, else 1, so the
+// default medium never starts pool threads. A set-but-invalid value
+// (non-numeric, zero, negative) throws instead of silently falling back —
+// a typo'd override must never quietly change the worker count.
+int default_threads() {
+  if (const char* env = std::getenv("RADIOCAST_SHARD_THREADS")) {
+    const int v = util::parse_positive_int(env, "RADIOCAST_SHARD_THREADS");
+    return std::min(v, 64);
+  }
+  return 1;
+}
 
-// Id extraction switches from per-lane bit gathering (O(idbits) per won
-// lane) to one 64x64 transpose per listener (fixed ~400 word-ops serving
-// all 64 lanes at once) when a listener won at least this many lanes.
-constexpr int kTransposeLanes = 12;
+// ~16k adjacency entries per slice keeps a slice several L2-resident row
+// walks big (steal overhead amortized) while giving every realistic worker
+// count plenty of steal granularity. Deliberately a function of the GRAPH
+// only, never of the worker count.
+constexpr std::uint64_t kAdjPerSlice = 16384;
+constexpr int kMaxSlices = 4096;
 
 }  // namespace
 
-BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model)
+BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model,
+                               int threads, int slices)
     : Medium(g, model) {
-  const auto n = g.node_count();
-  idbits_ = n > 1 ? static_cast<std::uint32_t>(std::bit_width(
-                        static_cast<std::uint32_t>(n - 1)))
-                  : 1u;
-  planes_.assign(static_cast<std::size_t>(n) * stride_, 0);
+  const graph::NodeId n = g.node_count();
+  planes_.assign(2 * static_cast<std::size_t>(n), 0);
   touched_.reserve(n);
   active_mask_.assign(n, 0);
   payload1_.assign(n, kNoPayload);
-  // Seed the row-scan estimate with the full adjacency: the first batches
-  // of a protocol are typically dense enough that a row scan would walk
-  // most rows, and the estimate self-corrects from round one onward.
-  scan_cost_estimate_ = 2 * g.edge_count();
-}
 
-BitsliceMedium::Recover BitsliceMedium::choose_recovery(std::uint64_t work,
-                                                        bool gather) const {
-  switch (recovery_) {
-    case RecoveryStrategy::kRowScan:
-      return Recover::kScanDeferred;
-    case RecoveryStrategy::kIdPlanes:
-      return gather ? Recover::kIdsFused : Recover::kIdsDeferred;
-    case RecoveryStrategy::kAuto:
-      break;
+  int workers = threads == 0 ? default_threads() : std::max(1, threads);
+  workers = std::min<int>(workers, std::max<graph::NodeId>(1, n));
+  if (workers == 1) return;
+  pool_ = std::make_unique<StealPool>(workers);
+
+  // Cut the listener space so every slice owns ~the same adjacency volume
+  // (degree_prefix is the CSR offset array: offsets[v] = sum of degrees of
+  // nodes < v). The cuts depend only on the graph and the slice count.
+  const auto prefix = g.degree_prefix();
+  const std::uint64_t total = prefix[n];
+  int want = slices == 0 ? static_cast<int>(std::clamp<std::uint64_t>(
+                               total / kAdjPerSlice, 1, 512))
+                         : std::max(1, slices);
+  want = std::min(want, kMaxSlices);
+  want = std::min<int>(want, static_cast<int>(n));
+  slices_.resize(static_cast<std::size_t>(want));
+  graph::NodeId cut = 0;
+  for (int s = 0; s < want; ++s) {
+    Slice& slice = slices_[static_cast<std::size_t>(s)];
+    slice.lo = cut;
+    if (s + 1 == want) {
+      cut = n;
+    } else {
+      const std::uint64_t target = total * static_cast<std::uint64_t>(s + 1) /
+                                   static_cast<std::uint64_t>(want);
+      const auto it = std::lower_bound(prefix.begin(), prefix.end(), target);
+      cut = std::max(cut, static_cast<graph::NodeId>(std::min<std::ptrdiff_t>(
+                              it - prefix.begin(), n)));
+    }
+    slice.hi = cut;
   }
-  if (gather) {
-    // The fused re-walk touches only winning listeners' rows, against
-    // transmit-mask words read one loop iteration earlier — it is never
-    // beaten by accumulating id planes on every traversed edge.
-    return Recover::kScanFused;
+}
+
+BitsliceMedium::~BitsliceMedium() = default;
+
+int BitsliceMedium::worker_count() const {
+  return pool_ == nullptr ? 1 : pool_->workers();
+}
+
+int BitsliceMedium::slice_count() const {
+  return slices_.empty() ? 1 : static_cast<int>(slices_.size());
+}
+
+BitsliceMedium::Recover BitsliceMedium::choose_recovery(bool gather) const {
+  if (recovery_ == RecoveryStrategy::kRowScan) return Recover::kScanDeferred;
+  // The fused re-walk touches only winning listeners' rows, against
+  // transmit-mask words read one loop iteration earlier. Scatter rounds
+  // cannot fuse (plane state only settles once every transmitter's row
+  // has been applied), so they scan the delivered listeners afterwards.
+  return gather ? Recover::kScanFused : Recover::kScanDeferred;
+}
+
+// Forced inline: it runs once per touched listener on every traversal
+// shape, and an out-of-line call costs measurable time on dense rounds.
+[[gnu::always_inline]] inline std::uint64_t BitsliceMedium::emit(Part& p,
+                                   std::span<const std::uint64_t> tx_mask,
+                                   std::uint64_t lane_mask, graph::NodeId v,
+                                   std::uint64_t one,
+                                   std::uint64_t two) const {
+  ++p.active;
+  const std::uint64_t not_tx = ~tx_mask[v];
+  const std::uint64_t win = one & ~two & not_tx;
+  const std::uint64_t coll = two & not_tx & lane_mask;
+  if (win != 0) {
+    p.out->delivered.push_back({v, win});
+    p.delivered_tally.add(win);
   }
-  const std::uint64_t id_cost = work * (idbits_ / 4 + 1);
-  return id_cost <= kRowScanCostFactor * scan_cost_estimate_
-             ? Recover::kIdsDeferred
-             : Recover::kScanDeferred;
+  if (coll != 0) {
+    if (model_ == CollisionModel::kDetection) {
+      p.out->collisions.push_back({v, coll});
+    }
+    p.collided_tally.add(coll);
+  }
+  return win;
 }
 
-void BitsliceMedium::ensure_id_capacity() {
-  const std::size_t full = 2 + idbits_;
-  if (stride_ == full) return;
-  stride_ = full;
-  planes_.assign(static_cast<std::size_t>(graph_->node_count()) * stride_, 0);
+template <bool kFused, class Sink>
+void BitsliceMedium::gather_range(graph::NodeId lo, graph::NodeId hi,
+                                  std::span<const std::uint64_t> tx_mask,
+                                  std::uint64_t lane_mask, Part& p,
+                                  Sink& sink) const {
+  for (graph::NodeId v = lo; v < hi; ++v) {
+    std::uint64_t one = 0;
+    std::uint64_t two = 0;
+    const auto row = graph_->neighbors(v);
+    simd::gather_row(row.data(), row.size(), tx_mask.data(), lane_mask, one,
+                     two);
+    if (one == 0) continue;
+    const std::uint64_t win = emit(p, tx_mask, lane_mask, v, one, two);
+    if constexpr (kFused) {
+      if (win == 0) continue;
+      // Hot re-walk: the row and its transmit-mask words were read one
+      // loop iteration ago, so this is L1 traffic, and it only happens
+      // for winning listeners.
+      std::uint64_t left = win;
+      for (const graph::NodeId u : row) {
+        const std::uint64_t hit = left & tx_mask[u];
+        if (hit == 0) continue;
+        left &= ~hit;
+        sink(*p.out, v, u, hit);
+        if (left == 0) break;
+      }
+    }
+  }
 }
 
-template <bool kWithIds, bool kDense>
+template <bool kDense>
 void BitsliceMedium::scatter_accumulate(
     std::span<const std::uint64_t> tx_mask, std::uint64_t lane_mask) {
   std::uint64_t* const base = planes_.data();
-  const std::size_t stride = stride_;
-  const std::uint32_t idbits = idbits_;
   for (const graph::NodeId u : txlist_) {
     const std::uint64_t m = tx_mask[u] & lane_mask;
-    // The id spread is loop-invariant across u's whole row: word b is m
-    // where bit b of u is set, 0 otherwise. Hoisting it turns the
-    // per-edge id update into a streaming XOR the compiler vectorizes.
-    std::uint64_t spread[34];
-    if constexpr (kWithIds) {
-      for (std::uint32_t b = 0; b < idbits; ++b) {
-        spread[b] = (-(static_cast<std::uint64_t>(u) >> b & 1)) & m;
-      }
-    }
     for (const graph::NodeId v : graph_->neighbors(u)) {
-      std::uint64_t* const blk = base + static_cast<std::size_t>(v) * stride;
+      std::uint64_t* const blk = base + 2 * static_cast<std::size_t>(v);
       if constexpr (!kDense) {
         if (blk[0] == 0) touched_.push_back(v);
       }
       blk[1] |= blk[0] & m;
       blk[0] |= m;
-      if constexpr (kWithIds) {
-        for (std::uint32_t b = 0; b < idbits; ++b) blk[2 + b] ^= spread[b];
-      }
     }
   }
 }
 
 template <class Sink>
 void BitsliceMedium::rowscan_recover(std::span<const std::uint64_t> tx_mask,
-                                     const BatchOutcome& out,
-                                     Sink&& sink) const {
+                                     BatchOutcome& out, Sink&& sink) const {
   // Scan each winning listener's row, clearing won lanes as their unique
   // senders are found, so every row is visited at most once and only for
   // listeners that actually won a lane.
@@ -116,52 +181,9 @@ void BitsliceMedium::rowscan_recover(std::span<const std::uint64_t> tx_mask,
       const std::uint64_t hit = win & tx_mask[u];
       if (hit == 0) continue;
       win &= ~hit;
-      sink(dm.node, u, hit);
+      sink(out, dm.node, u, hit);
       if (win == 0) break;
     }
-  }
-}
-
-template <class Sink>
-void BitsliceMedium::extract_ids(graph::NodeId v, std::uint64_t win,
-                                 const std::uint64_t* id, Sink&& sink) const {
-  const std::uint64_t idmask =
-      idbits_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << idbits_) - 1;
-  if (std::popcount(win) >= kTransposeLanes) {
-    // Win-dense listener: one transpose yields every lane's sender id.
-    // Store plane b into row 63-b and read lane l from row 63-l — the
-    // anti-diagonal kernel then lands bit b of lane l's id at bit b.
-    std::array<std::uint64_t, 64> w{};
-    for (std::uint32_t b = 0; b < idbits_; ++b) w[63 - b] = id[b];
-    simd::transpose64(w);
-    do {
-      const int lane = std::countr_zero(win);
-      sink(v,
-           static_cast<graph::NodeId>(
-               w[static_cast<std::size_t>(63 - lane)] & idmask),
-           std::uint64_t{1} << lane);
-      win &= win - 1;
-    } while (win != 0);
-  } else {
-    do {
-      const int lane = std::countr_zero(win);
-      sink(v,
-           static_cast<graph::NodeId>(simd::extract_id(id, idbits_, lane)),
-           std::uint64_t{1} << lane);
-      win &= win - 1;
-    } while (win != 0);
-  }
-}
-
-template <class Sink>
-void BitsliceMedium::idplane_recover(const BatchOutcome& out, Sink&& sink) {
-  for (const auto& dm : out.delivered) {
-    std::uint64_t* const id =
-        planes_.data() + static_cast<std::size_t>(dm.node) * stride_ + 2;
-    extract_ids(dm.node, dm.lanes, id, sink);
-    // Consume-and-clear restores the between-round all-zero invariant for
-    // the id words the output sweep left live for us.
-    std::fill_n(id, idbits_, 0);
   }
 }
 
@@ -181,136 +203,72 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
   const bool dense = 2 * work >= n;
   // When transmitters cover at least half of all adjacency, flip the
   // traversal to a listener-centric gather: the planes accumulate in
-  // registers, and the fused recovery paths identify senders before the
+  // registers, and the fused recovery identifies senders before the
   // listener's row leaves cache.
   const bool gather = work >= graph_->edge_count();
-  const bool use_ids =
-      recover == Recover::kIdsDeferred || recover == Recover::kIdsFused;
-  // Only the deferred path parks id words in planes_; the fused gather
-  // path keeps them in registers, so it must not pay the widened stride.
-  if (recover == Recover::kIdsDeferred) ensure_id_capacity();
-
-  // Emits one listener's delivered/collision masks; returns the win mask.
-  // Every listener with a nonzero `one` word passes through here exactly
-  // once on each traversal shape, so the call count IS the active set.
-  std::uint32_t active = 0;
-  auto emit = [&](const graph::NodeId v, const std::uint64_t one,
-                  const std::uint64_t two) -> std::uint64_t {
-    ++active;
-    const std::uint64_t not_tx = ~tx_mask[v];
-    const std::uint64_t win = one & ~two & not_tx;
-    const std::uint64_t coll = two & not_tx & lane_mask;
-    if (win != 0) {
-      out.delivered.push_back({v, win});
-      delivered_tally_.add(win);
-    }
-    if (coll != 0) {
-      if (model_ == CollisionModel::kDetection) {
-        out.collisions.push_back({v, coll});
-      }
-      collided_tally_.add(coll);
-    }
-    return win;
-  };
+  main_.reset(&out);
 
   if (gather) {
-    // Gather fuses the output scan — and, on the fused recovery paths,
-    // sender recovery itself — into the traversal; those phases report 0
-    // and their cost counts toward traverse_ns.
-    auto gather_pass = [&]<Recover kRecover>() {
-      [[maybe_unused]] std::array<std::uint64_t, 34> idacc;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        std::uint64_t one = 0;
-        std::uint64_t two = 0;
-        if constexpr (kRecover == Recover::kIdsFused) {
-          std::fill_n(idacc.data(), idbits_, 0);
-          for (const graph::NodeId u : graph_->neighbors(v)) {
-            const std::uint64_t m = tx_mask[u] & lane_mask;
-            if (m == 0) continue;
-            two |= one & m;
-            one |= m;
-            simd::xor_id_accumulate(idacc.data(), u, m, idbits_);
-          }
-        } else {
-          const auto row = graph_->neighbors(v);
-          simd::gather_row(row.data(), row.size(), tx_mask.data(), lane_mask,
-                           one, two);
-        }
-        if (one == 0) continue;
-        const std::uint64_t win = emit(v, one, two);
-        if (win == 0) continue;
-        if constexpr (kRecover == Recover::kIdsFused) {
-          // Extraction straight from the register accumulators — the id
-          // words never touch the planes array on this path.
-          extract_ids(v, win, idacc.data(), sink);
-        } else if constexpr (kRecover == Recover::kScanFused) {
-          // Hot re-walk: the row and its transmit-mask words were read
-          // one loop iteration ago, so this is L1 traffic, and it only
-          // happens for winning listeners.
-          std::uint64_t left = win;
-          for (const graph::NodeId u : graph_->neighbors(v)) {
-            const std::uint64_t hit = left & tx_mask[u];
-            if (hit == 0) continue;
-            left &= ~hit;
-            sink(v, u, hit);
-            if (left == 0) break;
-          }
-        }
+    // Gather fuses the output scan — and, on kScanFused, sender recovery
+    // itself — into the traversal; those phases report 0 and their cost
+    // counts toward traverse_ns.
+    auto pass = [&](graph::NodeId lo, graph::NodeId hi, Part& p) {
+      if (recover == Recover::kScanFused) {
+        gather_range<true>(lo, hi, tx_mask, lane_mask, p, sink);
+      } else {
+        gather_range<false>(lo, hi, tx_mask, lane_mask, p, sink);
       }
     };
-    switch (recover) {
-      case Recover::kIdsFused:
-        gather_pass.template operator()<Recover::kIdsFused>();
-        break;
-      case Recover::kScanFused:
-        gather_pass.template operator()<Recover::kScanFused>();
-        break;
-      default:
-        gather_pass.template operator()<Recover::kNone>();
-        break;
+    if (pool_ == nullptr) {
+      pass(0, n, main_);
+    } else {
+      auto job = [&](std::size_t si) {
+        Slice& s = slices_[si];
+        s.buf.clear();
+        s.part.reset(&s.buf);
+        pass(s.lo, s.hi, s.part);
+      };
+      pool_->run(slices_.size(), job, timers_);
+      // Slice-index order, whichever worker ran which slice: the
+      // concatenation is exactly the serial pass's node-order output.
+      for (const Slice& s : slices_) {
+        out.delivered.insert(out.delivered.end(), s.buf.delivered.begin(),
+                             s.buf.delivered.end());
+        out.deliveries.insert(out.deliveries.end(), s.buf.deliveries.begin(),
+                              s.buf.deliveries.end());
+        out.collisions.insert(out.collisions.end(), s.buf.collisions.begin(),
+                              s.buf.collisions.end());
+        main_.active += s.part.active;
+        s.part.delivered_tally.add_to(out.delivered_count, lanes);
+        s.part.collided_tally.add_to(out.collided_count, lanes);
+      }
     }
     traverse_ns += now_ns() - t0;
   } else {
     // Scatter: bitwise saturating add into the per-listener blocks. Planes
     // are all-zero between rounds, so "one == 0" doubles as the untouched
     // test; the dense path drops even that branch — its output scan walks
-    // every listener anyway. Fused recovery does not apply here (plane
-    // state only settles once every transmitter's row has been applied).
+    // every listener anyway.
     if (dense) {
-      if (use_ids) {
-        scatter_accumulate<true, true>(tx_mask, lane_mask);
-      } else {
-        scatter_accumulate<false, true>(tx_mask, lane_mask);
-      }
+      scatter_accumulate<true>(tx_mask, lane_mask);
     } else {
       touched_.clear();
-      if (use_ids) {
-        scatter_accumulate<true, false>(tx_mask, lane_mask);
-      } else {
-        scatter_accumulate<false, false>(tx_mask, lane_mask);
-      }
+      scatter_accumulate<false>(tx_mask, lane_mask);
     }
     const std::uint64_t t1 = now_ns();
     traverse_ns += t1 - t0;
 
-    // Output scan: a lane delivers iff exactly one neighbour transmitted
-    // and the listener was silent — pure bitplane arithmetic. Re-zeroing
-    // (the next round's invariant) is fused into the same sweep; winning
-    // listeners' id words are left live for the recovery pass, which
-    // consumes and clears them.
+    // Output scan, with the re-zeroing (the next round's invariant) fused
+    // into the same sweep.
     auto output_block = [&](const graph::NodeId v) {
-      std::uint64_t* const blk =
-          planes_.data() + static_cast<std::size_t>(v) * stride_;
-      const std::uint64_t win = emit(v, blk[0], blk[1]);
+      std::uint64_t* const blk = planes_.data() + 2 * static_cast<std::size_t>(v);
+      emit(main_, tx_mask, lane_mask, v, blk[0], blk[1]);
       blk[0] = 0;
       blk[1] = 0;
-      if (use_ids && win == 0) std::fill_n(blk + 2, idbits_, 0);
     };
     if (dense) {
       for (graph::NodeId v = 0; v < n; ++v) {
-        if (planes_[static_cast<std::size_t>(v) * stride_] != 0) {
-          output_block(v);
-        }
+        if (planes_[2 * static_cast<std::size_t>(v)] != 0) output_block(v);
       }
     } else {
       for (const graph::NodeId v : touched_) output_block(v);
@@ -318,32 +276,15 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
     output_ns += now_ns() - t1;
   }
 
-  out.active_listeners = active;
-  timers_.active_listeners += active;
-  delivered_tally_.extract(out.delivered_count, lanes);
-  collided_tally_.extract(out.collided_count, lanes);
+  out.active_listeners = main_.active;
+  timers_.active_listeners += main_.active;
+  main_.delivered_tally.add_to(out.delivered_count, lanes);
+  main_.collided_tally.add_to(out.collided_count, lanes);
   const std::uint64_t t2 = now_ns();
 
-  // Deferred recovery passes (the fused ones already ran inside gather).
-  if (recover == Recover::kIdsDeferred) {
-    idplane_recover(out, sink);
-  } else if (recover == Recover::kScanDeferred) {
-    rowscan_recover(tx_mask, out, sink);
-  }
-
+  if (recover == Recover::kScanDeferred) rowscan_recover(tx_mask, out, sink);
   if (recover != Recover::kNone) {
-    if (use_ids) {
-      ++timers_.idplane_rounds;
-    } else {
-      ++timers_.rowscan_rounds;
-    }
-    if (recovery_ == RecoveryStrategy::kAuto) {
-      // Feed kAuto's scatter predictor with what a row scan of this
-      // round's delivered listeners would have walked.
-      std::uint64_t scan = 0;
-      for (const auto& dm : out.delivered) scan += graph_->degree(dm.node);
-      scan_cost_estimate_ = scan;
-    }
+    ++timers_.rowscan_rounds;
     timers_.recover_ns += now_ns() - t2;
   }
   static obs::Histogram& round_hist =
@@ -429,8 +370,6 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
   const std::uint64_t lane_mask = radio::lane_mask(lanes);
   out.clear();
   tx_tally_.reset();
-  delivered_tally_.reset();
-  collided_tally_.reset();
 
   // Prologue over the collected transmitters: per-lane tallies and the
   // traversal-volume estimate that picks the scatter/gather shape and the
@@ -455,21 +394,21 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
       }
     }
   }
-  tx_tally_.extract(out.transmitter_count, lanes);
+  tx_tally_.add_to(out.transmitter_count, lanes);
   (from_list ? timers_.enqueue_ns : timers_.traverse_ns) += now_ns() - t0;
 
   const bool gather = work >= graph_->edge_count();
   const Recover recover = mode == FoldMode::kMasksOnly ? Recover::kNone
-                          : const_plane              ? Recover::kConstFold
-                                                     : choose_recovery(
-                                                           work, gather);
+                          : const_plane ? Recover::kConstFold
+                                        : choose_recovery(gather);
+  auto no_sink = [](BatchOutcome&, graph::NodeId, graph::NodeId,
+                    std::uint64_t) {};
 
   if (recover == Recover::kConstFold) {
     run_core(tx_mask, lane_mask, lanes, work, out, Recover::kNone, from_list,
-             [](graph::NodeId, graph::NodeId, std::uint64_t) {});
+             no_sink);
     const std::uint64_t tr = now_ns();
     const std::size_t bls = best.lane_stride();
-    std::uint64_t scan = 0;
     for (const auto& dm : out.delivered) {
       Payload* const brow = best.row(dm.node);
       std::uint64_t hit = dm.lanes;
@@ -479,34 +418,34 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
         if (b == kNoPayload || const_value > b) b = const_value;
         hit &= hit - 1;
       } while (hit != 0);
-      scan += graph_->degree(dm.node);
     }
-    scan_cost_estimate_ = scan;
     ++timers_.constfold_rounds;
     timers_.recover_ns += now_ns() - tr;
     return;
   }
 
-  // Sinks take one (listener, sender, lane mask) group per call; for
-  // lane-invariant payload planes the sender's payload is read once per
-  // group instead of once per delivered lane.
+  // Sinks take one (destination, listener, sender, lane mask) group per
+  // call; for lane-invariant payload planes the sender's payload is read
+  // once per group instead of once per delivered lane. Pooled gather
+  // slices call them concurrently: each writes only its own destination
+  // and its own listeners' best[] runs.
   const bool invariant = payload.lane_invariant();
   if (mode == FoldMode::kSenders) {
     run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
-             [&](const graph::NodeId v, const graph::NodeId u,
-                 std::uint64_t hit) {
+             [&](BatchOutcome& dst, const graph::NodeId v,
+                 const graph::NodeId u, std::uint64_t hit) {
                if (invariant) {
                  const Payload p = payload.at(0, u);
                  do {
                    const int lane = std::countr_zero(hit);
-                   out.deliveries.push_back(
+                   dst.deliveries.push_back(
                        {v, static_cast<std::uint8_t>(lane), u, p});
                    hit &= hit - 1;
                  } while (hit != 0);
                } else {
                  do {
                    const int lane = std::countr_zero(hit);
-                   out.deliveries.push_back({v,
+                   dst.deliveries.push_back({v,
                                              static_cast<std::uint8_t>(lane),
                                              u, payload.at(lane, u)});
                    hit &= hit - 1;
@@ -517,7 +456,7 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
     const std::size_t bls = best.lane_stride();
     const std::size_t pls = payload.lane_stride();
     run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
-             [&](const graph::NodeId v, const graph::NodeId u,
+             [&](BatchOutcome&, const graph::NodeId v, const graph::NodeId u,
                  std::uint64_t hit) {
                Payload* const brow = best.row(v);
                if (invariant) {
@@ -541,7 +480,7 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
              });
   } else {
     run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
-             [](graph::NodeId, graph::NodeId, std::uint64_t) {});
+             no_sink);
   }
 }
 

@@ -1,27 +1,25 @@
 // Bit-sliced batch backend: resolves one round for up to 64 independent
 // Monte-Carlo lanes with one CSR traversal.
 //
-// Per listener it maintains a contiguous block of bitplane words,
-//
-//   [ one | two | id_0 .. id_{idbits-1} ]
-//
-// where `one`/`two` are the ">= 1 tx" / ">= 2 tx" saturation planes
-// updated with a bitwise saturating add (two |= one & m; one |= m) and the
-// optional id words implement in-kernel sender identification: word id_b's
-// lane-l bit is the XOR of bit b of every id transmitted into the listener
-// on lane l. On any lane the listener *wins* (exactly one transmitter) the
-// XOR IS the unique sender's id, so recovery reads senders straight out of
-// the planes in O(idbits = ceil(log2 n)) per delivery instead of
-// re-scanning the listener's adjacency row — the bookkeeping rides the
-// batched communication pass instead of a second sweep. RecoveryStrategy
-// (kRowScan / kIdPlanes / kAuto cost prediction) picks the path per round;
-// both produce identical outcomes.
+// Per listener it keeps two bitplane words, the ">= 1 tx" / ">= 2 tx"
+// saturation planes, updated with a bitwise saturating add
+// (two |= one & m; one |= m). A lane delivers where exactly one neighbour
+// transmitted and the listener was silent — pure bitplane arithmetic.
+// Senders are recovered by row scan: re-walk each winning listener's row
+// against the transmit masks, clearing won lanes as their unique senders
+// are found. RecoveryStrategy::kAuto fuses that re-walk into the gather
+// traversal (the row is still in cache) and defers it to a pass over the
+// delivered listeners on scatter rounds; kRowScan pins the deferred pass.
 //
 // The traversal itself is transmitter-centric scatter (sparse rounds,
 // blocks in planes_) or listener-centric gather (dense rounds, blocks in
-// registers, id words stored only for winning listeners); the per-edge id
-// update and the per-delivery id extraction run through the AVX2 kernels
-// in radio/simd.hpp behind runtime dispatch, with scalar fallbacks.
+// registers, radio/simd.hpp's AVX2 row gather behind runtime dispatch).
+// Gather rounds are the one place extra cores pay: with more than one
+// worker the listener space is cut into degree-balanced slices run on a
+// work-stealing pool (radio/steal_pool.hpp). Each slice fills its own
+// output buffers and tallies, merged in slice order, so outcomes are
+// byte-identical for any worker or slice count. The serial run is the
+// same pass over one slice [0, n) writing straight into the outcome.
 //
 // A round enters either as an n-word transmit mask (resolve_batch*) or as
 // a sparse ActiveTx list (resolve_batch*_active, and resolve() with one
@@ -30,8 +28,8 @@
 // O(active work) with no 0..n scan; from there both forms run one kernel.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,11 +38,23 @@
 
 namespace radiocast::radio {
 
+class StealPool;
+
 class BitsliceMedium final : public Medium {
  public:
-  BitsliceMedium(const graph::Graph& g, CollisionModel model);
+  /// `threads` is the gather-round worker count: 0 defers to the
+  /// RADIOCAST_SHARD_THREADS environment variable when set, else 1 (serial,
+  /// no pool threads). `slices` is the pooled gather's steal-granularity
+  /// slice count; 0 means one slice per ~16k adjacency entries. Neither
+  /// changes an outcome — only where the cost lands.
+  BitsliceMedium(const graph::Graph& g, CollisionModel model, int threads = 0,
+                 int slices = 0);
+  ~BitsliceMedium() override;
 
   std::string_view name() const override { return "bitslice"; }
+  int worker_count() const;
+  /// Slices a gather round is cut into (1 when serial).
+  int slice_count() const;
 
   /// Single-instance rounds run through the sparse-list path with one
   /// lane, so the facade and the batch entry points share one kernel.
@@ -76,36 +86,54 @@ class BitsliceMedium final : public Medium {
                                 KnowledgePlanes best,
                                 BatchOutcome& out) override;
 
-  /// Sender-id plane words per listener: ceil(log2 n), at least 1.
-  std::uint32_t id_bits() const { return idbits_; }
-
  private:
   /// What run_batch does with each recovered delivery.
   enum class FoldMode : std::uint8_t { kMasksOnly, kSenders, kMaxFold };
 
-  /// How this round identifies senders. The deferred paths run as a
-  /// separate (timed) recovery pass; the fused paths recover inside the
-  /// gather traversal while the listener's row / id accumulators are still
-  /// hot in cache and registers:
+  /// How this round identifies senders:
   ///   kNone          — mask-only round, nothing to recover
-  ///   kScanDeferred  — row scan over out.delivered (the PR 3 path;
-  ///                    RecoveryStrategy::kRowScan pins it for comparison)
+  ///   kScanDeferred  — row scan over out.delivered after the traversal
+  ///                    (kAuto's scatter choice; RecoveryStrategy::kRowScan
+  ///                    pins it on every round)
   ///   kScanFused     — gather only: re-walk the row at emit time (kAuto's
   ///                    gather choice: the row and transmit masks were read
   ///                    one loop iteration ago)
-  ///   kIdsDeferred   — scatter id planes, extraction pass over delivered
-  ///   kIdsFused      — gather id planes in registers, extraction at emit
   ///   kConstFold     — max-fold only: the prologue proved every
   ///                    transmitter carries the same payload value, so the
-  ///                    fold needs no sender identity at all (run_batch
+  ///                    fold needs no sender identity at all (run_round
   ///                    handles it; run_core never sees this value)
   enum class Recover : std::uint8_t {
     kNone,
     kScanDeferred,
     kScanFused,
-    kIdsDeferred,
-    kIdsFused,
     kConstFold
+  };
+
+  /// Where one traversal's listener output lands: `out` itself and the
+  /// medium's own tallies on serial passes, a slice's private buffers on
+  /// pooled gather passes (summed and appended in slice order afterwards).
+  struct Part {
+    BatchOutcome* out = nullptr;
+    LaneCounter delivered_tally;
+    LaneCounter collided_tally;
+    std::uint32_t active = 0;
+
+    void reset(BatchOutcome* target) {
+      out = target;
+      delivered_tally.reset();
+      collided_tally.reset();
+      active = 0;
+    }
+  };
+
+  /// A pooled gather's unit of work: the listener interval [lo, hi) plus
+  /// its own output buffers. Cache-line aligned, so neighbouring slices'
+  /// per-listener writes never share a line across workers.
+  struct alignas(64) Slice {
+    graph::NodeId lo = 0;
+    graph::NodeId hi = 0;
+    BatchOutcome buf;
+    Part part;
   };
 
   /// Throws unless the payload view, lane count and (for a max-fold) the
@@ -130,67 +158,58 @@ class BitsliceMedium final : public Medium {
   void run_round(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
                  int lanes, BatchOutcome& out, FoldMode mode,
                  KnowledgePlanes best, bool from_list, std::uint64_t t0);
+  /// Traversal + output + recovery. Sinks take (destination outcome,
+  /// listener, sender, lane mask) — one call per sender group, so sinks
+  /// hoist per-sender work (the payload read, for lane-invariant planes)
+  /// out of the per-lane loop.
   template <class Sink>
   void run_core(std::span<const std::uint64_t> tx_mask, std::uint64_t lane_mask,
                 int lanes, std::uint64_t work, BatchOutcome& out,
                 Recover recover, bool from_list, Sink&& sink);
-  /// Applies the RecoveryStrategy knob to this round's traversal shape;
-  /// kAuto fuses a row re-walk into gather rounds and, for scatter rounds,
-  /// predicts id planes vs the deferred scan from the traversal volume and
-  /// the last sender-recovering round's delivered-row volume.
-  Recover choose_recovery(std::uint64_t work, bool gather) const;
-  /// Widens the per-listener block stride from 2 to 2 + idbits_. Planes
-  /// are all-zero between rounds, so the relayout is just a bigger zeroed
-  /// allocation.
-  void ensure_id_capacity();
+  /// Applies the RecoveryStrategy knob to this round's traversal shape.
+  Recover choose_recovery(bool gather) const;
 
-  template <bool kWithIds, bool kDense>
+  /// Emits one listener's delivered/collision masks into `p`; returns the
+  /// win mask. Every listener with a nonzero `one` word passes through
+  /// here exactly once per round, so the call count IS the active set.
+  std::uint64_t emit(Part& p, std::span<const std::uint64_t> tx_mask,
+                     std::uint64_t lane_mask, graph::NodeId v,
+                     std::uint64_t one, std::uint64_t two) const;
+  /// Listener-centric gather over [lo, hi) into `p`; with kFused, winning
+  /// listeners' senders are recovered before their row leaves cache.
+  /// Reads only shared round state and writes only `p` and the sink's
+  /// listener-owned targets, so disjoint intervals run concurrently.
+  template <bool kFused, class Sink>
+  void gather_range(graph::NodeId lo, graph::NodeId hi,
+                    std::span<const std::uint64_t> tx_mask,
+                    std::uint64_t lane_mask, Part& p, Sink& sink) const;
+  template <bool kDense>
   void scatter_accumulate(std::span<const std::uint64_t> tx_mask,
                           std::uint64_t lane_mask);
-  /// Row-scan recovery (the pre-id-planes path): re-walk each winning
-  /// listener's row, clearing won lanes as their unique senders are found.
-  /// Sink: (listener, sender, lane mask) — one call per sender group, so
-  /// sinks hoist per-sender work (the payload read, for lane-invariant
-  /// planes) out of the per-lane loop.
+  /// Deferred row scan: re-walk each winning listener's row, clearing won
+  /// lanes as their unique senders are found.
   template <class Sink>
   void rowscan_recover(std::span<const std::uint64_t> tx_mask,
-                       const BatchOutcome& out, Sink&& sink) const;
-  /// Id-plane recovery: read each won lane's sender id back out of the
-  /// listener's XOR planes and re-zero them (the between-round invariant).
-  template <class Sink>
-  void idplane_recover(const BatchOutcome& out, Sink&& sink);
-  /// Extraction core shared by the deferred and fused id paths: calls
-  /// sink(v, sender, single-lane mask) for every lane in `win`, reading
-  /// senders out of the id words (per-lane bit gather, or one 64x64
-  /// transpose for win-dense listeners).
-  template <class Sink>
-  void extract_ids(graph::NodeId v, std::uint64_t win, const std::uint64_t* id,
-                   Sink&& sink) const;
+                       BatchOutcome& out, Sink&& sink) const;
 
-  // ceil(log2 n) — how many id planes a sender id needs. NodeId is 32-bit,
-  // so blocks never exceed 2 + 32 words.
-  std::uint32_t idbits_;
-  // Words per listener block: 2 until the first id-plane round, then
-  // 2 + idbits_ for the lifetime of the medium.
-  std::size_t stride_ = 2;
-  // Per-listener bitplane blocks (node_count * stride_ words). Invariant
-  // between rounds: all zero — a nonzero `one` marks the listener as
-  // touched this round (transmit masks are never empty), so no epoch
-  // stamps are needed; each round's epilogue re-zeroes exactly what it
-  // dirtied (id words of winning listeners are re-zeroed by the recovery
-  // pass that consumes them).
+  // Per-listener [one | two] bitplane blocks (2 * node_count words).
+  // Invariant between rounds: all zero — a nonzero `one` marks the
+  // listener as touched this round (transmit masks are never empty), so no
+  // epoch stamps are needed; each round's output sweep re-zeroes exactly
+  // what it dirtied.
   std::vector<std::uint64_t> planes_;
   std::vector<graph::NodeId> touched_;
   std::vector<graph::NodeId> txlist_;
-  // kAuto's estimate of the row-scan volume: sum of delivered listeners'
-  // degrees in the last sender-recovering round (round densities drift
-  // slowly, so the previous round is a good predictor of this one).
-  std::uint64_t scan_cost_estimate_;
 
-  // Bit-sliced per-lane tallies (see radio/lane_counter.hpp).
+  // Bit-sliced per-lane transmitter tally, and the serial passes' output
+  // target (see Part).
   LaneCounter tx_tally_;
-  LaneCounter delivered_tally_;
-  LaneCounter collided_tally_;
+  Part main_;
+
+  // Gather-round pool: null when serial. Slices are a pure function of the
+  // graph and the slice knob; they exist only alongside a pool.
+  std::unique_ptr<StealPool> pool_;
+  std::vector<Slice> slices_;
 
   // Sparse-list transmit mask (node_count words): all zero between
   // rounds; run_active fills it from the list and re-zeroes txlist_.

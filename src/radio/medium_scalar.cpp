@@ -17,6 +17,7 @@ ScalarMedium::ScalarMedium(const graph::Graph& g, CollisionModel model)
   tx_from_.assign(n, graph::kInvalidNode);
   stamp_.assign(n, 0);
   touched_.reserve(n);
+  agg_mask_.assign(n, 0);
 }
 
 void ScalarMedium::resolve(std::span<const graph::NodeId> transmitters,
@@ -130,6 +131,102 @@ void ScalarMedium::resolve_dense(SparseOutcome& out) {
       }
     }
   }
+}
+
+std::span<const ActiveTx> ScalarMedium::list_of(
+    std::span<const std::uint64_t> tx_mask) {
+  const graph::NodeId n = graph_->node_count();
+  if (tx_mask.size() != n) {
+    throw std::invalid_argument("ScalarMedium: size mismatch");
+  }
+  mask_tx_.clear();
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (tx_mask[v] != 0) mask_tx_.push_back({v, tx_mask[v]});
+  }
+  return mask_tx_;
+}
+
+void ScalarMedium::resolve_lanes(std::span<const ActiveTx> tx,
+                                 PayloadPlanes payload, int lanes,
+                                 BatchOutcome& out, bool with_senders,
+                                 const KnowledgePlanes* best) {
+  const graph::NodeId n = graph_->node_count();
+  if (payload.plane_size() != n) {
+    throw std::invalid_argument("ScalarMedium: size mismatch");
+  }
+  if (lanes < 1 || lanes > kMaxLanes || lanes > payload.lane_capacity()) {
+    throw std::invalid_argument("ScalarMedium: lanes out of range");
+  }
+  if (best != nullptr &&
+      (best->plane_size() < n || lanes > best->lane_capacity())) {
+    throw std::invalid_argument("ScalarMedium: best too small");
+  }
+  for (const ActiveTx& e : tx) {
+    if (e.node >= n) {
+      throw std::invalid_argument("ScalarMedium: transmitter out of range");
+    }
+  }
+  out.clear();
+  agg_touched_.clear();
+  for (int l = 0; l < lanes; ++l) {
+    const std::uint64_t bit = std::uint64_t{1} << l;
+    lane_tx_.clear();
+    lane_payload_.clear();
+    for (const ActiveTx& e : tx) {
+      if (e.lanes & bit) {
+        lane_tx_.push_back(e.node);
+        lane_payload_.push_back(payload.at(l, e.node));
+      }
+    }
+    resolve(lane_tx_, lane_payload_, lane_out_);
+    out.transmitter_count[l] = lane_out_.transmitter_count;
+    out.collided_count[l] = lane_out_.collided_count;
+    out.delivered_count[l] =
+        static_cast<std::uint32_t>(lane_out_.deliveries.size());
+    for (const auto& d : lane_out_.deliveries) {
+      if (agg_mask_[d.node] == 0) agg_touched_.push_back(d.node);
+      agg_mask_[d.node] |= bit;
+      if (best != nullptr) {
+        Payload& b = best->at(l, d.node);
+        if (b == kNoPayload || d.payload > b) b = d.payload;
+      } else if (with_senders) {
+        out.deliveries.push_back(
+            {d.node, static_cast<std::uint8_t>(l), d.from, d.payload});
+      }
+    }
+    for (const graph::NodeId v : lane_out_.collided_nodes) {
+      out.collisions.push_back({v, bit});
+    }
+  }
+  for (const graph::NodeId v : agg_touched_) {
+    out.delivered.push_back({v, agg_mask_[v]});
+    agg_mask_[v] = 0;
+  }
+}
+
+void ScalarMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
+                                 PayloadPlanes payload, int lanes,
+                                 BatchOutcome& out, bool with_senders) {
+  resolve_lanes(list_of(tx_mask), payload, lanes, out, with_senders, nullptr);
+}
+
+void ScalarMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
+                                     PayloadPlanes payload, int lanes,
+                                     KnowledgePlanes best, BatchOutcome& out) {
+  resolve_lanes(list_of(tx_mask), payload, lanes, out, false, &best);
+}
+
+void ScalarMedium::resolve_batch_active(std::span<const ActiveTx> tx,
+                                        PayloadPlanes payload, int lanes,
+                                        BatchOutcome& out, bool with_senders) {
+  resolve_lanes(tx, payload, lanes, out, with_senders, nullptr);
+}
+
+void ScalarMedium::resolve_batch_max_active(std::span<const ActiveTx> tx,
+                                            PayloadPlanes payload, int lanes,
+                                            KnowledgePlanes best,
+                                            BatchOutcome& out) {
+  resolve_lanes(tx, payload, lanes, out, false, &best);
 }
 
 }  // namespace radiocast::radio

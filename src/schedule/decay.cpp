@@ -107,8 +107,8 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
   // bitslice backend resolves the step in O(active work). The dense-mask
   // scan above already happened (the coin stream must stay a pure function
   // of the draw history), so this only moves the medium-side cost; the
-  // active list is built in increasing node order and the dense adapters
-  // pin outcome equality, so results are byte-identical on every backend.
+  // active list is built in increasing node order and every backend's list
+  // entry matches its mask entry, so results are byte-identical either way.
   const bool sparse =
       static_cast<std::uint64_t>(active.size()) * 16 <= n;
   if (sparse) {

@@ -48,12 +48,6 @@ radio::MediumKind ScenarioContext::medium_kind() const {
       std::span<const std::string_view>(radio::kMediumNames)));
 }
 
-int ScenarioContext::medium_threads() const {
-  if (!cli.has("medium-threads")) return 0;
-  return util::parse_positive_int(cli.get_string("medium-threads", ""),
-                                  "flag --medium-threads");
-}
-
 int ScenarioContext::gen_threads() const {
   if (!cli.has("gen-threads")) return 0;
   return util::parse_positive_int(cli.get_string("gen-threads", ""),

@@ -78,12 +78,6 @@ struct ScenarioContext {
   /// valid backends.
   radio::MediumKind medium_kind() const;
 
-  /// --medium-threads flag: worker count for the sharded backend. Absent
-  /// = 0 (backend default: RADIOCAST_SHARD_THREADS env, else hardware);
-  /// when given it must be a positive integer — non-numeric or zero
-  /// values throw instead of silently degrading to the default.
-  int medium_threads() const;
-
   /// --gen-threads flag: worker count for the parallel graph-generation
   /// pool (graph::pargen). Absent = 0 (pargen default: the
   /// RADIOCAST_GEN_THREADS env, else hardware); when given it must be a

@@ -85,7 +85,7 @@ TEST(Cli, NegativeNumbersViaEquals) {
 
 TEST(Cli, GetChoiceAcceptsListedValuesAndFallsBack) {
   const Cli c = make({"--medium=bitslice"});
-  EXPECT_EQ(c.get_choice("medium", "scalar", {"scalar", "bitslice", "sharded"}),
+  EXPECT_EQ(c.get_choice("medium", "scalar", {"scalar", "bitslice"}),
             "bitslice");
   EXPECT_EQ(c.get_choice("absent", "scalar", {"scalar", "bitslice"}),
             "scalar");
@@ -94,14 +94,13 @@ TEST(Cli, GetChoiceAcceptsListedValuesAndFallsBack) {
 TEST(Cli, GetChoiceRejectsUnknownValueListingLegalOnes) {
   const Cli c = make({"--medium=quantum"});
   try {
-    c.get_choice("medium", "scalar", {"scalar", "bitslice", "sharded"});
+    c.get_choice("medium", "scalar", {"scalar", "bitslice"});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("--medium"), std::string::npos);
     EXPECT_NE(msg.find("scalar"), std::string::npos);
     EXPECT_NE(msg.find("bitslice"), std::string::npos);
-    EXPECT_NE(msg.find("sharded"), std::string::npos);
     EXPECT_NE(msg.find("quantum"), std::string::npos);
   }
 }
@@ -116,8 +115,8 @@ TEST(Cli, UsageListsDescribedFlags) {
 }
 
 TEST(Cli, RenderChoicesFormatsLegalValues) {
-  constexpr std::string_view kNames[] = {"auto", "rowscan", "idplanes"};
-  EXPECT_EQ(Cli::render_choices(kNames), "<auto|rowscan|idplanes>");
+  constexpr std::string_view kNames[] = {"auto", "rowscan"};
+  EXPECT_EQ(Cli::render_choices(kNames), "<auto|rowscan>");
   EXPECT_EQ(Cli::render_choices({}), "<>");
 }
 
@@ -125,12 +124,11 @@ TEST(Cli, RenderChoicesFormatsLegalValues) {
 // output, matching exactly what get_choice accepts.
 TEST(Cli, UsageEnumeratesChoiceValues) {
   Cli c = make({});
-  c.describe("medium", "radio backend", {"scalar", "bitslice", "sharded"})
-      .describe("recovery", "sender-recovery strategy",
-                {"auto", "rowscan", "idplanes"});
+  c.describe("medium", "radio backend", {"scalar", "bitslice"})
+      .describe("recovery", "sender-recovery strategy", {"auto", "rowscan"});
   const std::string u = c.usage();
-  EXPECT_NE(u.find("--medium=<scalar|bitslice|sharded>"), std::string::npos);
-  EXPECT_NE(u.find("--recovery=<auto|rowscan|idplanes>"), std::string::npos);
+  EXPECT_NE(u.find("--medium=<scalar|bitslice>"), std::string::npos);
+  EXPECT_NE(u.find("--recovery=<auto|rowscan>"), std::string::npos);
   EXPECT_NE(u.find("radio backend"), std::string::npos);
   EXPECT_NE(u.find("sender-recovery strategy"), std::string::npos);
 }

@@ -1,16 +1,17 @@
-// Work-stealing sharded medium: the slice layout is a pure function of
-// the graph (+ the slice knob), per-slice outputs merge in slice-index
-// order, and workers only move cost — so every observable (deliveries,
-// order included; masks; planes; counters) must be BYTE-IDENTICAL for any
-// worker count and any steal interleaving. Plus the node-major/lane-major
-// knowledge-plane differential across all three backends: the layout is a
+// Bitslice's work-stealing gather pool: dense rounds run degree-balanced
+// listener slices on the pool, per-slice outputs merge in slice-index
+// order, and workers and slices only move cost — so every observable
+// (deliveries, order included; masks; planes; counters) must be
+// BYTE-IDENTICAL to the serial (1-worker) medium for any worker count, any
+// slice count and any steal interleaving. Plus the node-major/lane-major
+// knowledge-plane differential across both backends: the layout is a
 // view, never a semantic.
-#include "radio/medium_sharded.hpp"
+#include "radio/medium_bitslice.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -62,22 +63,30 @@ BatchObservables capture(const BatchOutcome& out, std::vector<Payload> best) {
   return o;
 }
 
-/// Runs a fixed multi-round workload (scalar rounds + batch rounds with
-/// senders + max-fold rounds, dense and sparse shapes) on one medium and
-/// returns every observable in sequence.
+/// Runs a fixed multi-round workload on one medium and returns every
+/// observable in sequence: per round, a masks-only batch, a batch with
+/// senders and a max-fold through the mask entry, the same three through
+/// the list entry, and a single-lane resolve() round — over dense (gather,
+/// pooled) and sparse (scatter, serial) shapes, with recovery `strategy`.
 std::vector<BatchObservables> run_workload(const Graph& g,
                                            CollisionModel model, int workers,
-                                           int slices) {
+                                           int slices,
+                                           RecoveryStrategy strategy) {
   const NodeId n = g.node_count();
-  ShardedMedium medium(g, model, workers, slices);
+  BitsliceMedium medium(g, model, workers, slices);
+  medium.set_recovery_strategy(strategy);
   util::Rng rng(4242);  // same stream for every worker count
   std::vector<BatchObservables> trace;
   for (int round = 0; round < 6; ++round) {
     // Alternate dense and sparse-tail shapes so both the gather and the
-    // scatter kernels (and their tx-segment prologue) execute.
+    // scatter kernels execute.
     const double density = round % 2 == 0 ? 0.3 : 0.01;
     const int lanes = round < 2 ? 1 : 64;
     const auto tx_mask = random_mask(n, lanes, density, rng);
+    std::vector<ActiveTx> entries;
+    for (NodeId v = 0; v < n; ++v) {
+      if (tx_mask[v] != 0) entries.push_back({v, tx_mask[v]});
+    }
     std::vector<Payload> planes(static_cast<std::size_t>(lanes) * n);
     for (int l = 0; l < lanes; ++l) {
       for (NodeId v = 0; v < n; ++v) {
@@ -87,15 +96,32 @@ std::vector<BatchObservables> run_workload(const Graph& g,
     }
     const PayloadPlanes payload = PayloadPlanes::lane_major(planes, n);
 
-    BatchOutcome out;
-    medium.resolve_batch(tx_mask, payload, lanes, out, /*with_senders=*/true);
-    trace.push_back(capture(out, {}));
+    for (const bool listed : {false, true}) {
+      BatchOutcome masks;
+      BatchOutcome out;
+      if (listed) {
+        medium.resolve_batch_active(entries, payload, lanes, masks,
+                                    /*with_senders=*/false);
+        medium.resolve_batch_active(entries, payload, lanes, out);
+      } else {
+        medium.resolve_batch(tx_mask, payload, lanes, masks,
+                             /*with_senders=*/false);
+        medium.resolve_batch(tx_mask, payload, lanes, out);
+      }
+      trace.push_back(capture(masks, {}));
+      trace.push_back(capture(out, {}));
 
-    std::vector<Payload> best(static_cast<std::size_t>(lanes) * n, kNoPayload);
-    BatchOutcome fold;
-    medium.resolve_batch_max(tx_mask, payload, lanes,
-                             KnowledgePlanes::node_major(best, n), fold);
-    trace.push_back(capture(fold, std::move(best)));
+      std::vector<Payload> best(static_cast<std::size_t>(lanes) * n,
+                                kNoPayload);
+      const KnowledgePlanes view = KnowledgePlanes::node_major(best, n);
+      BatchOutcome fold;
+      if (listed) {
+        medium.resolve_batch_max_active(entries, payload, lanes, view, fold);
+      } else {
+        medium.resolve_batch_max(tx_mask, payload, lanes, view, fold);
+      }
+      trace.push_back(capture(fold, std::move(best)));
+    }
 
     // Scalar facade round from the same stream.
     std::vector<NodeId> tx;
@@ -121,38 +147,47 @@ std::vector<BatchObservables> run_workload(const Graph& g,
   return trace;
 }
 
-// Tentpole pin: byte-identical outcomes for 1, 4, and 7 workers over the
-// SAME slice layout. The 1-worker run never steals; the multi-worker runs
-// steal arbitrarily — none of it may show.
+// The pool's contract: outcomes for 4 and 7 workers — over the default slice
+// layout and over forced one-node slices — are byte-identical to the
+// serial medium's, under both recovery strategies. The serial run has no
+// pool; the pooled runs steal arbitrarily — none of it may show.
 TEST(MediumSharded, WorkerCountByteDeterminism) {
   util::Rng grng(71);
   const Graph g = graph::gnp(260, 0.05, grng);
+  const int one_node = static_cast<int>(g.node_count());
   for (const CollisionModel model :
        {CollisionModel::kNoDetection, CollisionModel::kDetection}) {
-    const auto want = run_workload(g, model, /*workers=*/1, /*slices=*/37);
-    for (const int workers : {4, 7}) {
-      const auto got = run_workload(g, model, workers, /*slices=*/37);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i], want[i])
-            << "workers=" << workers << " step=" << i
-            << " model=" << static_cast<int>(model);
+    for (const RecoveryStrategy strategy :
+         {RecoveryStrategy::kAuto, RecoveryStrategy::kRowScan}) {
+      const auto want = run_workload(g, model, /*workers=*/1, 0, strategy);
+      for (const int workers : {4, 7}) {
+        for (const int slices : {0, one_node}) {
+          const auto got = run_workload(g, model, workers, slices, strategy);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i], want[i])
+                << "workers=" << workers << " slices=" << slices
+                << " step=" << i << " model=" << static_cast<int>(model)
+                << " recovery=" << to_string(strategy);
+          }
+        }
       }
     }
   }
 }
 
-// Forced-steal stress: slice granularity of ~1 node makes every worker's
-// own deque tiny and guarantees heavy stealing; outcomes still match the
-// single-worker run exactly, over many repetitions to shake interleavings.
+// Forced-steal stress: one-node slices make every worker's own deque tiny
+// and guarantee heavy stealing; outcomes still match the serial run
+// exactly, over many repetitions to shake interleavings — and the pool
+// reports the steals it made.
 TEST(MediumSharded, ForcedStealStaysDeterministic) {
   util::Rng grng(72);
   const Graph g = graph::gnp(150, 0.08, grng);
   const NodeId n = g.node_count();
-  const int slices = static_cast<int>(n);  // ~1 node per slice
-  ShardedMedium one(g, CollisionModel::kDetection, 1, slices);
-  ShardedMedium many(g, CollisionModel::kDetection, 6, slices);
-  EXPECT_EQ(one.slice_count(), many.slice_count());
+  const int slices = static_cast<int>(n);  // one node per slice
+  BitsliceMedium one(g, CollisionModel::kDetection, 1);
+  BitsliceMedium many(g, CollisionModel::kDetection, 6, slices);
+  EXPECT_EQ(many.slice_count(), slices);
   util::Rng rng_a(7), rng_b(7);
   for (int round = 0; round < 40; ++round) {
     const auto mask_a = random_mask(n, 64, 0.1, rng_a);
@@ -171,48 +206,36 @@ TEST(MediumSharded, ForcedStealStaysDeterministic) {
     ASSERT_EQ(out_a.delivered_count, out_b.delivered_count);
     ASSERT_EQ(out_a.active_listeners, out_b.active_listeners);
   }
+  EXPECT_EQ(one.phase_timers().steal_attempts, 0u);
+  EXPECT_GT(many.phase_timers().steal_attempts, 0u);
 }
 
-// The slice layout is worker-count independent (that is WHY outcomes can
-// be), while shard_count keeps meaning the worker count.
-TEST(MediumSharded, SliceLayoutIndependentOfWorkers) {
+// Worker count: explicit, capped at the node count; serial media keep
+// one slice and start no pool. The slice knob is honoured and capped at
+// the node count.
+TEST(MediumSharded, WorkerAndSliceCounts) {
   util::Rng grng(73);
   const Graph g = graph::gnp(200, 0.06, grng);
-  ShardedMedium a(g, CollisionModel::kNoDetection, 1);
-  ShardedMedium b(g, CollisionModel::kNoDetection, 7);
-  EXPECT_EQ(a.slice_count(), b.slice_count());
-  EXPECT_EQ(a.shard_count(), 1);
-  EXPECT_EQ(b.shard_count(), 7);
+  BitsliceMedium a(g, CollisionModel::kNoDetection, 1, 23);
+  EXPECT_EQ(a.worker_count(), 1);
+  EXPECT_EQ(a.slice_count(), 1);
+  BitsliceMedium b(g, CollisionModel::kNoDetection, 7);
   EXPECT_EQ(b.worker_count(), 7);
+  EXPECT_GE(b.slice_count(), 1);
 
-  // Explicit slice knob; capped at node count.
-  ShardedMedium c(g, CollisionModel::kNoDetection, 2, 23);
+  BitsliceMedium c(g, CollisionModel::kNoDetection, 2, 23);
   EXPECT_EQ(c.slice_count(), 23);
-  ShardedMedium d(g, CollisionModel::kNoDetection, 2, 1 << 20);
-  EXPECT_LE(d.slice_count(), static_cast<int>(g.node_count()));
-}
-
-// RADIOCAST_SHARD_SLICES overrides the default; invalid values throw
-// (same hardening contract as RADIOCAST_SHARD_THREADS).
-TEST(MediumSharded, SliceEnvOverride) {
-  util::Rng grng(74);
-  const Graph g = graph::gnp(120, 0.05, grng);
-  ASSERT_EQ(setenv("RADIOCAST_SHARD_SLICES", "11", 1), 0);
-  {
-    ShardedMedium m(g, CollisionModel::kNoDetection, 2);
-    EXPECT_EQ(m.slice_count(), 11);
-    // Explicit argument beats the env var.
-    ShardedMedium e(g, CollisionModel::kNoDetection, 2, 5);
-    EXPECT_EQ(e.slice_count(), 5);
-  }
-  ASSERT_EQ(setenv("RADIOCAST_SHARD_SLICES", "banana", 1), 0);
-  EXPECT_THROW(ShardedMedium(g, CollisionModel::kNoDetection, 2),
-               std::invalid_argument);
-  unsetenv("RADIOCAST_SHARD_SLICES");
+  BitsliceMedium d(g, CollisionModel::kNoDetection, 2, 1 << 20);
+  EXPECT_EQ(d.slice_count(), static_cast<int>(g.node_count()));
+  const Graph tiny = graph::path(3);
+  EXPECT_EQ(BitsliceMedium(tiny, CollisionModel::kNoDetection, 8)
+                .worker_count(),
+            3);
 }
 
 // Node-major vs lane-major knowledge planes: same fold, different view.
-// For every backend, folding into a node-major buffer and into a
+// For every backend (bitslice serial and pooled), folding into a
+// node-major buffer and into a
 // lane-major buffer must produce the same (lane, node) values — pinned by
 // remapping one onto the other — and the payload side must agree too when
 // the planes come in node-major form.
@@ -220,8 +243,9 @@ TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
   util::Rng rng(75);
   const Graph g = graph::gnp(140, 0.06, rng);
   const NodeId n = g.node_count();
-  constexpr MediumKind kAll[] = {MediumKind::kScalar, MediumKind::kBitslice,
-                                 MediumKind::kSharded};
+  constexpr std::pair<MediumKind, int> kAll[] = {{MediumKind::kScalar, 1},
+                                                 {MediumKind::kBitslice, 1},
+                                                 {MediumKind::kBitslice, 4}};
   for (const int lanes : {7, 64}) {
     const auto tx_mask = random_mask(n, lanes, 0.2, rng);
     // Same logical payloads in both layouts.
@@ -236,8 +260,9 @@ TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
         node_major_payload[static_cast<std::size_t>(v) * lanes + l] = p;
       }
     }
-    for (const MediumKind kind : kAll) {
-      auto medium = make_medium(kind, g, CollisionModel::kNoDetection, 3);
+    for (const auto& [kind, threads] : kAll) {
+      auto medium =
+          make_medium(kind, g, CollisionModel::kNoDetection, threads);
       std::vector<Payload> best_lm(static_cast<std::size_t>(lanes) * n,
                                    kNoPayload);
       std::vector<Payload> best_nm(static_cast<std::size_t>(lanes) * n,
@@ -272,7 +297,7 @@ TEST(MediumSharded, ImplicitSinglePlaneRejectsMultiLane) {
   const auto tx_mask = random_mask(n, 8, 0.3, rng);
   const std::vector<Payload> shared(n, 1);
   std::vector<Payload> best(static_cast<std::size_t>(8) * n, kNoPayload);
-  ShardedMedium medium(g, CollisionModel::kNoDetection, 2);
+  BitsliceMedium medium(g, CollisionModel::kNoDetection, 2);
   BatchOutcome out;
   EXPECT_THROW(medium.resolve_batch_max(tx_mask, shared, 8, best, out),
                std::invalid_argument);

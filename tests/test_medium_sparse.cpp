@@ -6,7 +6,7 @@
 // collision models, 1/7/64 lanes, and both dense rounds and the
 // sparse-tail rounds the path exists for. Also covered: the lazily-cleared
 // staging mask across repeated sparse rounds (stale lanes are a real
-// hazard), resolve_batch_active == dense on all three backends, the
+// hazard), resolve_batch_active == dense on both backends, the
 // single-lane resolve() facade that now rides the same path, the
 // active_listeners cost diagnostic, and the enqueue_ns/drain_ns phase
 // attribution of list-driven rounds.
@@ -33,8 +33,7 @@ using graph::Graph;
 using graph::NodeId;
 
 constexpr MediumKind kAllKinds[] = {MediumKind::kScalar,
-                                    MediumKind::kBitslice,
-                                    MediumKind::kSharded};
+                                    MediumKind::kBitslice};
 
 std::vector<BatchDelivery> sorted(std::vector<BatchDelivery> v) {
   std::sort(v.begin(), v.end(),
@@ -129,8 +128,8 @@ void check_against_scalar(const Graph& g, CollisionModel model, int lanes,
 // Tentpole differential: dense rounds (every node may transmit) and
 // sparse-tail rounds (a handful of sources in a large quiet graph) across
 // both collision models and 1/7/64 lanes, on GnP and cluster topologies —
-// bitslice's sparse-list path plus the dense entry points of bitslice and
-// sharded, all against the scalar reference.
+// bitslice's sparse-list and dense entry points, each against the scalar
+// reference.
 TEST(MediumSparse, DifferentialAgainstScalar) {
   util::Rng rng(91);
   const Graph gnp = graph::gnp(140, 0.06, rng);
@@ -164,13 +163,9 @@ TEST(MediumSparse, DifferentialAgainstScalar) {
                                     lanes,
                                     KnowledgePlanes::lane_major(want_best, n),
                                     want_fold);
-          check_against_scalar(*g, model, lanes, tx_mask, planes, want,
-                               want_best, MediumKind::kBitslice,
-                               /*active=*/true);
-          for (const MediumKind kind :
-               {MediumKind::kBitslice, MediumKind::kSharded}) {
+          for (const bool active : {true, false}) {
             check_against_scalar(*g, model, lanes, tx_mask, planes, want,
-                                 want_best, kind, /*active=*/false);
+                                 want_best, MediumKind::kBitslice, active);
           }
         }
       }
@@ -298,9 +293,9 @@ TEST(MediumSparse, LazyResetAcrossRounds) {
 }
 
 // The sparse entry point must agree with the dense one on every backend
-// (bitslice runs it natively; scalar and sharded go through the default
-// dense-materialization adapter) — including duplicate entries, whose lane
-// masks OR together, and a throw that must leave the medium reusable.
+// (bitslice runs it natively; scalar decomposes the list per lane) —
+// including duplicate entries, whose lane masks OR together, and a throw
+// that must leave the medium reusable.
 TEST(MediumSparse, ResolveBatchActiveMatchesDenseOnAllBackends) {
   util::Rng rng(94);
   const Graph g = graph::gnp(110, 0.07, rng);
@@ -399,9 +394,9 @@ TEST(MediumSparse, BatchNetworkStepLanesActive) {
 }
 
 // active_listeners: every backend agrees on the woken-set size (every
-// node with >=1 transmitting neighbour, transmitters included) — sharded's
-// single-lane rounds run on scalar — and bitslice's sparse-list and dense
-// batch paths agree with the ground truth too.
+// node with >=1 transmitting neighbour, transmitters included), and
+// bitslice's sparse-list and dense batch paths agree with the ground
+// truth too.
 TEST(MediumSparse, ActiveListenersDiagnostic) {
   util::Rng rng(96);
   const Graph g = graph::gnp(100, 0.08, rng);
@@ -476,7 +471,8 @@ TEST(MediumSparse, PhaseTimersAttribution) {
   }
   const PhaseTimers& t = medium->phase_timers();
   EXPECT_EQ(t.rounds, 3u);
-  EXPECT_EQ(t.rowscan_rounds + t.idplane_rounds, 3u);
+  EXPECT_EQ(t.rowscan_rounds, 3u);
+  EXPECT_EQ(t.idplane_rounds, 0u);
   EXPECT_EQ(t.traverse_ns, 0u);
   EXPECT_EQ(t.output_ns, 0u);
   EXPECT_GT(t.enqueue_ns, 0u);
@@ -512,18 +508,20 @@ TEST(MediumSparse, PhaseTimersAttribution) {
   EXPECT_EQ(medium->phase_timers().rowscan_rounds, 0u);
 }
 
-// The frontier backend is gone: its name is no longer a medium, and the
-// parse error lists the three that remain.
+// The frontier and sharded backends are gone: their names are no longer
+// media, and the parse error lists the two that remain.
 TEST(MediumSparse, ParseAndFactory) {
-  EXPECT_THROW(parse_medium_kind("frontier"), std::invalid_argument);
-  try {
-    parse_medium_kind("frontier");
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("scalar | bitslice | sharded"),
-              std::string::npos)
-        << e.what();
+  for (const char* gone : {"frontier", "sharded"}) {
+    EXPECT_THROW(parse_medium_kind(gone), std::invalid_argument);
+    try {
+      parse_medium_kind(gone);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scalar | bitslice)"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  EXPECT_EQ(kMediumNames.size(), 3u);
+  EXPECT_EQ(kMediumNames.size(), 2u);
   const Graph g = graph::star(5);
   for (const MediumKind kind : kAllKinds) {
     auto medium = make_medium(kind, g, CollisionModel::kNoDetection);

@@ -277,7 +277,7 @@ exp::SweepSpec tiny_spec() {
   spec.p = {8.0};
   spec.p_is_degree = true;
   spec.protocols = {"decay"};
-  spec.mediums = {radio::MediumKind::kScalar, radio::MediumKind::kSharded};
+  spec.mediums = {radio::MediumKind::kScalar, radio::MediumKind::kBitslice};
   spec.recoveries = {radio::RecoveryStrategy::kAuto};
   spec.lanes = 8;
   spec.reps = 8;
@@ -315,7 +315,7 @@ TEST(Trace, DoesNotChangeReportBytesAtTimingOff) {
   // backends and the runner pool's task spans are present.
   EXPECT_FALSE(events_named(trace, "runner.task").empty());
   EXPECT_FALSE(events_named(trace, "scalar.round").empty());
-  EXPECT_FALSE(events_named(trace, "sharded.batch_round").empty());
+  EXPECT_FALSE(events_named(trace, "bitslice.round").empty());
 }
 
 TEST(Report, TimingGateControlsPoolRollupAndMetrics) {

@@ -56,20 +56,20 @@ TEST(Parse, Double) {
   }
 }
 
-// The satellite hardening: a sharded medium constructed with threads == 0
-// consults RADIOCAST_SHARD_THREADS; invalid values must throw (previously
-// std::atoi silently fell back to the hardware default).
+// A bitslice medium constructed with threads == 0 consults
+// RADIOCAST_SHARD_THREADS; invalid values must throw instead of silently
+// falling back to a default worker count.
 TEST(Parse, ShardThreadsEnvRejectsInvalidValues) {
   const graph::Graph g = graph::path(16);
   for (const char* bad : {"banana", "0", "-2", "4x"}) {
     ::setenv("RADIOCAST_SHARD_THREADS", bad, 1);
-    EXPECT_THROW(radio::make_medium(radio::MediumKind::kSharded, g,
+    EXPECT_THROW(radio::make_medium(radio::MediumKind::kBitslice, g,
                                     radio::CollisionModel::kNoDetection),
                  std::invalid_argument)
         << "env value: '" << bad << "'";
   }
   ::setenv("RADIOCAST_SHARD_THREADS", "2", 1);
-  EXPECT_NO_THROW(radio::make_medium(radio::MediumKind::kSharded, g,
+  EXPECT_NO_THROW(radio::make_medium(radio::MediumKind::kBitslice, g,
                                      radio::CollisionModel::kNoDetection));
   ::unsetenv("RADIOCAST_SHARD_THREADS");
 }
