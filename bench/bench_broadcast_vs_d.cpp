@@ -14,12 +14,13 @@
 #include <cmath>
 #include <vector>
 
-#include "baselines/decay_broadcast.hpp"
 #include "baselines/hw_broadcast.hpp"
 #include "core/broadcast.hpp"
+#include "core/compete_batched.hpp"
 #include "core/theory.hpp"
 #include "exp/accumulator.hpp"
 #include "exp/report.hpp"
+#include "radio/network.hpp"
 #include "sim/instances.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -61,13 +62,15 @@ RADIOCAST_SCENARIO(broadcast_vs_d, "broadcast-vs-d",
       if (rc.success) m[0] = static_cast<double>(rc.rounds);
       const auto rh = baselines::hw_broadcast(inst.g, inst.diameter, 0, 7, s);
       if (rh.success) m[1] = static_cast<double>(rh.rounds);
-      const auto rb = baselines::decay_broadcast(
-          inst.g, inst.diameter, {{0, 7}},
-          baselines::bgi_params(inst.g.node_count()), s);
+      // BGI and CR: one replication each on a 1-lane scalar Network.
+      radio::Network net(inst.g);
+      const std::uint64_t one[] = {s};
+      const auto rb = core::compete_batched(
+          net, {{0, 7}}, core::bgi_params(inst.g.node_count()), one)[0];
       if (rb.success) m[2] = static_cast<double>(rb.rounds);
-      const auto rr = baselines::decay_broadcast(
-          inst.g, inst.diameter, {{0, 7}},
-          baselines::cr_params(inst.g.node_count(), inst.diameter), s);
+      const auto rr = core::compete_batched(
+          net, {{0, 7}},
+          core::cr_params(inst.g.node_count(), inst.diameter), one)[0];
       if (rr.success) m[3] = static_cast<double>(rr.rounds);
       return m;
     });

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "baselines/decay_broadcast.hpp"
+#include "core/compete_batched.hpp"
 #include "core/radiocast.hpp"
 
 using namespace radiocast;
@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
 
   const auto cd = core::broadcast(g, d, detector, alert,
                                   core::CompeteParams{}, seed);
-  const auto bgi = baselines::decay_broadcast(
-      g, d, {{detector, alert}}, baselines::bgi_params(g.node_count()), seed);
-  const auto cr = baselines::decay_broadcast(
-      g, d, {{detector, alert}},
-      baselines::cr_params(g.node_count(), d), seed);
+  const std::uint64_t one[] = {seed};
+  const auto bgi = core::broadcast_batched(
+      g, detector, alert, core::bgi_params(g.node_count()), one)[0];
+  const auto cr = core::broadcast_batched(
+      g, detector, alert, core::cr_params(g.node_count(), d), one)[0];
 
   std::printf("\n  algorithm            rounds    rounds/hop   informed\n");
   std::printf("  Czumaj-Davies      %8llu    %8.2f    %u/%u\n",

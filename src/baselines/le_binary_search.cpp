@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/compete_batched.hpp"
 #include "core/theory.hpp"
-#include "schedule/decay.hpp"
+#include "radio/network.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -48,9 +49,11 @@ BinarySearchLeResult binary_search_leader_election(
       params.phase_c * core::theory::bound_crkp(n, std::max<std::uint32_t>(
                                                        2, diameter)));
 
-  DecayBroadcastParams bp =
-      params.use_bgi ? bgi_params(n) : cr_params(n, diameter);
+  core::BatchedCompeteParams bp = params.use_bgi
+                                     ? core::bgi_params(n)
+                                     : core::cr_params(n, diameter);
   bp.max_rounds = budget;
+  radio::Network net(g);
 
   // Every node tracks the prefix it believes won so far; candidates track
   // whether their own ID still matches their local prefix.
@@ -59,7 +62,7 @@ BinarySearchLeResult binary_search_leader_election(
 
   for (std::uint32_t phase = 0; phase < bits; ++phase) {
     const std::uint32_t b = bits - 1 - phase;
-    std::vector<BroadcastSource> sources;
+    std::vector<core::CompeteSource> sources;
     for (std::size_t c = 0; c < cand_node.size(); ++c) {
       if (alive[c] && ((cand_id[c] >> b) & 1u)) {
         sources.push_back({cand_node[c], 1});
@@ -67,8 +70,9 @@ BinarySearchLeResult binary_search_leader_election(
     }
     std::vector<std::uint8_t> heard(n, 0);
     if (!sources.empty()) {
-      const DecayBroadcastResult r =
-          decay_broadcast(g, diameter, sources, bp, rng());
+      const std::uint64_t phase_seed[] = {rng()};
+      const auto r =
+          core::compete_batched(net, sources, bp, phase_seed).front();
       for (graph::NodeId v = 0; v < n; ++v) {
         heard[v] = r.best[v] != radio::kNoPayload;
       }
@@ -90,7 +94,7 @@ BinarySearchLeResult binary_search_leader_election(
   }
 
   // Winners announce (ID, node); everyone adopts what they hear.
-  std::vector<BroadcastSource> winners;
+  std::vector<core::CompeteSource> winners;
   for (std::size_t c = 0; c < cand_node.size(); ++c) {
     if (alive[c] && cand_id[c] == prefix[cand_node[c]]) {
       winners.push_back(
@@ -100,13 +104,12 @@ BinarySearchLeResult binary_search_leader_election(
   }
   std::uint32_t agreeing = 0;
   if (!winners.empty()) {
-    const DecayBroadcastResult fin =
-        decay_broadcast(g, diameter, winners, bp, rng());
+    const std::uint64_t final_seed[] = {rng()};
+    const auto fin =
+        core::compete_batched(net, winners, bp, final_seed).front();
     out.rounds += budget;
     out.leader = static_cast<graph::NodeId>(fin.winner & 0xFFFFFFFFu);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (fin.best[v] == fin.winner) ++agreeing;
-    }
+    agreeing = fin.informed;
   }
   out.success = winners.size() == 1 && agreeing == n;
   return out;

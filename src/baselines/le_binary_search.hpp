@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "baselines/decay_broadcast.hpp"
 #include "graph/graph.hpp"
 
 namespace radiocast::baselines {

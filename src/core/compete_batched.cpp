@@ -1,6 +1,8 @@
 #include "core/compete_batched.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #include "radio/batch_network.hpp"
@@ -8,6 +10,24 @@
 #include "util/rng.hpp"
 
 namespace radiocast::core {
+
+BatchedCompeteParams bgi_params(std::uint32_t n) {
+  BatchedCompeteParams p;
+  p.cycle_depth = schedule::decay_round_length(n);
+  return p;
+}
+
+BatchedCompeteParams cr_params(std::uint32_t n, std::uint32_t diameter) {
+  BatchedCompeteParams p;
+  const double ratio =
+      std::max(2.0, static_cast<double>(n) /
+                        static_cast<double>(std::max<std::uint32_t>(1, diameter)));
+  p.cycle_depth = std::min(
+      static_cast<std::uint32_t>(std::ceil(std::log2(ratio))) + 2,
+      schedule::decay_round_length(n));
+  p.full_cycle_every = 8;
+  return p;
+}
 
 std::vector<CompeteLaneResult> compete_batched(
     radio::LaneExecutor& net, const std::vector<CompeteSource>& sources,
@@ -63,42 +83,44 @@ std::vector<CompeteLaneResult> compete_batched(
   rngs.reserve(static_cast<std::size_t>(lanes));
   for (const std::uint64_t seed : seeds) rngs.emplace_back(seed);
 
+  const std::uint32_t full_depth = schedule::decay_round_length(n);
   const std::uint32_t depth =
-      params.cycle_depth == 0
-          ? schedule::decay_round_length(n)
-          : std::max<std::uint32_t>(1, params.cycle_depth);
+      params.cycle_depth == 0 ? full_depth
+                              : std::max<std::uint32_t>(1, params.cycle_depth);
 
-  auto lane_done = [&](int l) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (bestk.at(l, v) != winner) return false;
+  // Bit l of knows[v]: v holds max(S) in lane l; knowing[l] counts those
+  // nodes. Knowledge only grows under the max-fold, so both update from
+  // the round's delivered masks alone and a lane completes exactly in the
+  // round its count reaches n.
+  std::vector<std::uint64_t> knows(n, 0);
+  NodeId source_knowing = 0;  // sources are the same in every lane
+  for (NodeId v = 0; v < n; ++v) {
+    if (bestk.at(0, v) == winner) {
+      knows[v] = lane_mask;
+      ++source_knowing;
     }
-    return true;
-  };
-
+  }
+  std::vector<NodeId> knowing(static_cast<std::size_t>(lanes), source_knowing);
   std::uint64_t active = lane_mask;
-  for (int l = 0; l < lanes; ++l) {
-    if (lane_done(l)) {
-      finish_lane(l, true, 0);
-      active &= ~(std::uint64_t{1} << l);
-    }
+  if (source_knowing == n) {
+    for (int l = 0; l < lanes; ++l) finish_lane(l, true, 0);
+    active = 0;
   }
 
   std::vector<std::uint64_t> participates(n, 0);
   radio::BatchOutcome out;
   const radio::PayloadPlanes planes = radio::PayloadPlanes::node_major(best, n);
   std::uint64_t round = 0;
-  std::uint32_t since_check = 0;
+  std::uint32_t step = 1;  // 1-based density index within the cycle
+  std::uint32_t cycle = 0;  // completed density cycles
+  std::uint32_t cycle_len = depth;
   while (active != 0 && round < params.max_rounds) {
-    const std::uint32_t step = static_cast<std::uint32_t>(round % depth) + 1;
     // Done lanes stop transmitting: their planes and counters are frozen
     // at the values a standalone run would have terminated with (the coin
     // words their streams keep yielding can no longer influence anything).
     for (NodeId v = 0; v < n; ++v) participates[v] = informed[v] & active;
     schedule::decay_step_lanes(net, participates, planes, step, bestk, rngs,
                                out);
-    for (const auto& dm : out.delivered) {
-      informed[dm.node] |= dm.lanes;  // delivered lanes are active lanes
-    }
     for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
       const int l = std::countr_zero(scan);
       results[static_cast<std::size_t>(l)].transmissions +=
@@ -107,32 +129,43 @@ std::vector<CompeteLaneResult> compete_batched(
           out.delivered_count[l];
     }
     ++round;
-    if (++since_check >= params.check_interval) {
-      since_check = 0;
-      for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
+    std::uint64_t completed = 0;
+    for (const auto& dm : out.delivered) {
+      informed[dm.node] |= dm.lanes;  // delivered lanes are active lanes
+      for (std::uint64_t scan = dm.lanes & ~knows[dm.node]; scan != 0;
+           scan &= scan - 1) {
         const int l = std::countr_zero(scan);
-        if (lane_done(l)) {
-          finish_lane(l, true, round);
-          active &= ~(std::uint64_t{1} << l);
+        if (bestk.at(l, dm.node) != winner) continue;
+        knows[dm.node] |= std::uint64_t{1} << l;
+        if (++knowing[static_cast<std::size_t>(l)] == n) {
+          completed |= std::uint64_t{1} << l;
         }
       }
     }
+    for (std::uint64_t scan = completed; scan != 0; scan &= scan - 1) {
+      finish_lane(std::countr_zero(scan), true, round);
+    }
+    active &= ~completed;
+    if (++step > cycle_len) {
+      step = 1;
+      ++cycle;
+      // CR's periodic full-depth cycle.
+      cycle_len = params.full_cycle_every != 0 &&
+                          cycle % params.full_cycle_every == 0
+                      ? full_depth
+                      : depth;
+    }
   }
-  // Lanes that ran out of budget: final completion scan (a lane may have
-  // finished between checks), mirroring the scalar cores.
+  // Lanes still active ran out of budget before every node knew max(S).
   for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
-    const int l = std::countr_zero(scan);
-    finish_lane(l, lane_done(l), round);
+    finish_lane(std::countr_zero(scan), false, round);
   }
 
   for (int l = 0; l < lanes; ++l) {
     CompeteLaneResult& r = results[static_cast<std::size_t>(l)];
+    r.informed = knowing[static_cast<std::size_t>(l)];
     r.best.resize(n);
-    r.informed = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      r.best[v] = bestk.at(l, v);
-      if (r.best[v] == winner) ++r.informed;
-    }
+    for (NodeId v = 0; v < n; ++v) r.best[v] = bestk.at(l, v);
   }
   return results;
 }

@@ -2,25 +2,27 @@
 // run N independent seeded replications of the full protocol through the
 // lanes of one radio::LaneExecutor, so (with a BatchNetwork on the
 // bitslice backend) up to 64 seeds share every CSR traversal instead of
-// re-walking the adjacency once per seed.
+// re-walking the adjacency once per seed. A 1-lane radio::Network runs a
+// single replication through the same code.
 //
-// The protocol is the Compete semantics restricted to Decay relaying
-// (exactly baselines::decay_broadcast's rule set, the BGI yardstick):
-// every informed node relays the highest message it knows via
-// synchronized Decay, densities cycling over 2^-1 .. 2^-cycle_depth,
-// until every node knows max(S) or the round budget runs out. Each lane
-// carries its own knowledge plane (best), its own RNG stream, and its own
-// termination clock; per-lane payload planes let a node relay different
-// values in different lanes, which is what lifted the medium's old
-// lane-invariant-payload contract.
+// The protocol is the Compete semantics restricted to Decay relaying —
+// the one implementation of the BGI and CR/KP yardsticks: every informed
+// node relays the highest message it knows via synchronized Decay,
+// densities cycling over 2^-1 .. 2^-cycle_depth, with (CR) one
+// full-depth cycle every full_cycle_every cycles to clear congested
+// spots, until every node knows max(S) or the round budget runs out.
+// Each lane carries its own knowledge plane (best), its own RNG stream,
+// and its own termination clock; per-lane payload planes let a node relay
+// different values in different lanes. Completion is tracked exactly: a
+// lane stops in the round its last node learns max(S), so `rounds` is the
+// exact completion round.
 //
 // Determinism contract (pinned by tests/test_protocol_lanes.cpp): lane l
 // of compete_batched(..., seeds) is byte-identical — success, rounds,
 // informed count, transmission/delivery counters, and the whole best[]
 // plane — to a 1-lane run over a scalar Network with seeds[l]. The
 // paper's clustering-based Compete main process (core/compete.hpp)
-// remains scalar; batching its per-seed hierarchies is future work on the
-// ROADMAP.
+// remains scalar.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +40,23 @@ struct BatchedCompeteParams {
   /// Decay density cycle depth: probabilities cycle over 2^-1 ..
   /// 2^-cycle_depth. 0 = auto (ceil(log2 n), the BGI rule).
   std::uint32_t cycle_depth = 0;
+  /// Every `full_cycle_every` cycles, run one full-depth cycle (CR's
+  /// handling of congested spots; 0 = never).
+  std::uint32_t full_cycle_every = 0;
   /// Stop a lane after this many rounds even if nodes remain uninformed.
   std::uint64_t max_rounds = 1'000'000;
-  /// Completion-scan cadence (measurement only, like the scalar cores).
-  std::uint32_t check_interval = 16;
 };
+
+/// BGI (Bar-Yehuda-Goldreich-Itai 1992): full-depth cycles over
+/// 2^-1 .. 2^-ceil(log2 n). O((D + log n) log n) rounds whp.
+BatchedCompeteParams bgi_params(std::uint32_t n);
+
+/// CR/KP (Czumaj-Rytter 2003 / Kowalski-Pelc 2005 style): cycles only over
+/// 2^-1 .. 2^-(ceil(log2(n/D)) + 2), since the expected per-layer
+/// congestion is n/D, plus a full-depth cycle every 8 cycles for congested
+/// spots. O(D log(n/D) + log^2 n) rounds whp — the best possible without
+/// spontaneous transmissions.
+BatchedCompeteParams cr_params(std::uint32_t n, std::uint32_t diameter);
 
 /// One lane's (= one seed's) replication result.
 struct CompeteLaneResult {

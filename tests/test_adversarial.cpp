@@ -3,7 +3,7 @@
 // diameter hints) across the whole algorithm stack.
 #include <gtest/gtest.h>
 
-#include "baselines/decay_broadcast.hpp"
+#include "core/compete_batched.hpp"
 #include "core/radiocast.hpp"
 
 namespace radiocast {
@@ -93,16 +93,18 @@ TEST(Adversarial, DecayBaselineOnStarVsCliquePath) {
   // that assumption maximally — its periodic full-depth cycles must save
   // it (regression guard for the preset).
   const graph::Graph star = graph::star(1000);
-  const auto r = baselines::decay_broadcast(
-      star, 2, {{5, 7}}, baselines::cr_params(1000, 2), 10);
+  const std::uint64_t seed[] = {10};
+  const auto r =
+      core::broadcast_batched(star, 5, 7, core::cr_params(1000, 2), seed)[0];
   EXPECT_TRUE(r.success);
 }
 
 TEST(Adversarial, HypercubeAllAlgorithmsAgree) {
   const graph::Graph g = graph::hypercube(8);  // 256 nodes, D=8
   const auto cd = core::broadcast(g, 8, 0, 7, core::CompeteParams{}, 11);
-  const auto bgi = baselines::decay_broadcast(
-      g, 8, {{0, 7}}, baselines::bgi_params(g.node_count()), 11);
+  const std::uint64_t seed[] = {11};
+  const auto bgi = core::broadcast_batched(
+      g, 0, 7, core::bgi_params(g.node_count()), seed)[0];
   EXPECT_TRUE(cd.success);
   EXPECT_TRUE(bgi.success);
 }

@@ -3,9 +3,9 @@
 // all algorithms agree on the same winner).
 #include <gtest/gtest.h>
 
-#include "baselines/decay_broadcast.hpp"
 #include "baselines/hw_broadcast.hpp"
 #include "baselines/le_binary_search.hpp"
+#include "core/compete_batched.hpp"
 #include "core/radiocast.hpp"
 
 namespace radiocast {
@@ -19,8 +19,9 @@ TEST(Integration, AllBroadcastAlgorithmsAgreeOnDeliveredMessage) {
 
   const auto cd = core::broadcast(g, d, 7, msg, core::CompeteParams{}, 5);
   const auto hw = baselines::hw_broadcast(g, d, 7, msg, 5);
-  const auto bgi = baselines::decay_broadcast(
-      g, d, {{7, msg}}, baselines::bgi_params(g.node_count()), 5);
+  const std::uint64_t seed[] = {5};
+  const auto bgi = core::broadcast_batched(
+      g, 7, msg, core::bgi_params(g.node_count()), seed)[0];
   EXPECT_TRUE(cd.success);
   EXPECT_TRUE(hw.success);
   EXPECT_TRUE(bgi.success);

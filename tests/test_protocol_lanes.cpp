@@ -121,7 +121,9 @@ TEST(ProtocolLanes, CompeteBatchedMultiSourceMatchesScalarRuns) {
   const Graph g = graph::gnp(120, 0.07, grng);
   BatchedCompeteParams params;
   params.max_rounds = 3000;
-  params.check_interval = 5;  // off-cycle cadence must still agree
+  // CR's cadence: shallow depth-3 cycles, every second one full depth.
+  params.cycle_depth = 3;
+  params.full_cycle_every = 2;
   const std::vector<CompeteSource> sources{{2, 900}, {40, 901}, {77, 950}};
   check_compete_differential(g, sources, params, 23, 2001);
 }
@@ -134,6 +136,31 @@ TEST(ProtocolLanes, TightBudgetLanesAgreeOnFailureToo) {
   BatchedCompeteParams params;
   params.max_rounds = 10;
   check_compete_differential(g, {{0, 9}}, params, 17, 3001);
+}
+
+TEST(ProtocolLanes, RoundsAreExactCompletion) {
+  // A lane stops in the round its last node learns max(S): the same seed
+  // with one round less of budget must fail.
+  util::Rng grng(47);
+  const Graph g = graph::gnp(200, 0.05, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 4000;
+  const std::vector<CompeteSource> sources{{0, 31}, {7, 64}};
+  const auto seeds = make_seeds(12, 7001);
+  const auto lanes = core::compete_batched(g, sources, params, seeds);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    ASSERT_TRUE(lanes[l].success) << "lane " << l;
+    ASSERT_GT(lanes[l].rounds, 0u) << "lane " << l;
+    BatchedCompeteParams short_budget = params;
+    short_budget.max_rounds = lanes[l].rounds - 1;
+    radio::Network net(g);
+    const std::uint64_t one[] = {seeds[l]};
+    const auto cut =
+        core::compete_batched(net, sources, short_budget, one).front();
+    EXPECT_FALSE(cut.success) << "lane " << l;
+    EXPECT_EQ(cut.rounds, lanes[l].rounds - 1) << "lane " << l;
+    EXPECT_LT(cut.informed, g.node_count()) << "lane " << l;
+  }
 }
 
 TEST(ProtocolLanes, BroadcastBatchedConvenienceBroadcasts) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/decay_broadcast.hpp"
+#include "core/compete_batched.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "radio/engine.hpp"
@@ -44,15 +44,17 @@ TEST(DecayBroadcastProtocol, InformsRandomGeometric) {
   EXPECT_TRUE(r.all_done);
 }
 
-TEST(DecayBroadcastProtocol, RoundCountMatchesVectorisedCore) {
-  // The OO protocol and the vectorised baselines::decay_broadcast are the
-  // same algorithm; with independent randomness their round counts must
-  // agree within a small factor (both ~ (D + log n) log n).
+TEST(DecayBroadcastProtocol, RoundCountMatchesBatchedCore) {
+  // The per-node protocol and the lane-batched core::compete_batched (one
+  // lane here) are the same algorithm; with independent randomness their
+  // round counts must agree within a small factor (both ~ (D + log n)
+  // log n).
   const auto g = graph::path(150);
   const auto oo = run_protocol<DecayBroadcast>(g, 149, 0, 200000, 3);
   ASSERT_TRUE(oo.all_done);
-  const auto vec =
-      decay_broadcast(g, 149, {{0, 99}}, bgi_params(g.node_count()), 3);
+  const std::uint64_t seed[] = {3};
+  const auto vec = core::broadcast_batched(
+      g, 0, 99, core::bgi_params(g.node_count()), seed)[0];
   ASSERT_TRUE(vec.success);
   const double ratio =
       static_cast<double>(oo.rounds) / static_cast<double>(vec.rounds);
