@@ -72,7 +72,7 @@ class ShallowDecayBroadcast final : public Protocol {
 /// (r mod n) transmits iff informed. Collision-free by construction, so
 /// the frontier provably advances >= 1 hop per n rounds: O(n D) worst
 /// case, the folklore deterministic yardstick (the best known
-/// deterministic algorithms reach O(n log D); see DESIGN.md).
+/// deterministic algorithms reach O(n log D)).
 class RoundRobinBroadcast final : public Protocol {
  public:
   explicit RoundRobinBroadcast(Payload initial = kNoPayload);

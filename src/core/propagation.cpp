@@ -58,6 +58,8 @@ PropagationEngine::PropagationEngine(const Config& cfg)
   foreign_at_.assign(n, 0);
   tx_at_.assign(n, 0);
   in_list_.assign(n, 0);
+  center_now_.assign(n, graph::kInvalidNode);
+  coin_.assign(n, 0);
 
   build_region_structures();
   index_.resize(scheds_.size());
@@ -154,53 +156,50 @@ void PropagationEngine::start_window(std::uint32_t region,
   st.phase = Phase::kOutA;
   st.phase_round = 0;
   ++stats_.windows_started;
-  begin_phase(region, Phase::kOutA, best);
+  // Fresh window: record each member's centre under the new schedule,
+  // reset wave state, snapshot centre values and seed the wave at the
+  // centres (Algorithm 3 step 1).
+  for (std::uint32_t i = member_off_[region]; i < member_off_[region + 1];
+       ++i) {
+    const NodeId v = member_[i];
+    center_now_[v] = sched.center(v);
+    reached_[v] = 0;
+    upval_[v] = radio::kNoPayload;
+    if (center_now_[v] == v) {
+      snap_[v] = best[v];
+      if (best[v] != radio::kNoPayload) mark_reached(v);
+    }
+  }
 }
 
 void PropagationEngine::begin_phase(std::uint32_t region, Phase phase,
                                     std::vector<Payload>& best) {
-  RegionState& st = rstate_[region];
+  const RegionState& st = rstate_[region];
   const schedule::TreeSchedule& sched = *scheds_[st.choice.sched_index];
   const auto lo = member_off_[region], hi = member_off_[region + 1];
-  switch (phase) {
-    case Phase::kOutA:
-      // Fresh window: reset wave state, snapshot centre values, seed the
-      // wave at the centres (Algorithm 3 step 1).
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        const NodeId v = member_[i];
-        reached_[v] = 0;
-        upval_[v] = radio::kNoPayload;
-        if (sched.center(v) == v) {
-          snap_[v] = best[v];
-          if (best[v] != radio::kNoPayload) mark_reached(v);
-        }
+  if (phase == Phase::kInward) {
+    // Algorithm 3 step 2: nodes within the hop budget knowing something
+    // higher than their centre's snapshot converge-cast it.
+    for (std::uint32_t i = lo; i < hi; ++i) {
+      const NodeId v = member_[i];
+      upval_[v] = radio::kNoPayload;
+      if (sched.depth(v) > st.span) continue;
+      const Payload csnap = snap_[center_now_[v]];
+      if (best[v] != radio::kNoPayload &&
+          (csnap == radio::kNoPayload || best[v] > csnap)) {
+        upval_[v] = best[v];
       }
-      break;
-    case Phase::kInward:
-      // Algorithm 3 step 2: nodes within the hop budget knowing something
-      // higher than their centre's snapshot converge-cast it.
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        const NodeId v = member_[i];
-        upval_[v] = radio::kNoPayload;
-        if (sched.depth(v) > st.span) continue;
-        const Payload csnap = snap_[sched.center(v)];
-        if (best[v] != radio::kNoPayload &&
-            (csnap == radio::kNoPayload || best[v] > csnap)) {
-          upval_[v] = best[v];
-        }
+    }
+  } else {
+    // Algorithm 3 step 3: fresh outward wave with the updated centre
+    // value.
+    for (std::uint32_t i = lo; i < hi; ++i) {
+      const NodeId v = member_[i];
+      reached_[v] = 0;
+      if (center_now_[v] == v && best[v] != radio::kNoPayload) {
+        mark_reached(v);
       }
-      break;
-    case Phase::kOutC:
-      // Algorithm 3 step 3: fresh outward wave with the updated centre
-      // value.
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        const NodeId v = member_[i];
-        reached_[v] = 0;
-        if (sched.center(v) == v && best[v] != radio::kNoPayload) {
-          mark_reached(v);
-        }
-      }
-      break;
+    }
   }
 }
 
@@ -291,14 +290,13 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
     }
     for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
       const NodeId u = tx_nodes_[i];
-      const std::uint32_t ru = region_of_[u];
-      const schedule::TreeSchedule& su = *scheds_[rstate_[ru].choice.sched_index];
+      const NodeId cu = center_now_[u];
       for (NodeId w : g_->neighbors(u)) {
-        // Foreign to w: different region (fine clusters never span
-        // regions), or a different fine cluster of the shared schedule.
-        if (region_of_[w] != ru || su.center(w) != su.center(u)) {
-          foreign_at_[w] = round_id_;
-        }
+        // Foreign to w: a different fine cluster. Fine clusters never span
+        // regions, so no two regions share a centre id; a w in no region
+        // (or out of its schedule's scope) holds kInvalidNode, which no
+        // transmitter does.
+        if (center_now_[w] != cu) foreign_at_[w] = round_id_;
       }
     }
     for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
@@ -345,11 +343,14 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
       if (best[v] == radio::kNoPayload || d.payload > best[v]) {
         best[v] = d.payload;
       }
+      // Transmitters are in scope, so equal centres mean the same fine
+      // cluster, hence the same region.
       const std::uint32_t rv = region_of_[v];
-      if (rv == graph::kInvalidNode || region_of_[d.from] != rv) continue;
+      if (rv == graph::kInvalidNode || center_now_[d.from] != center_now_[v]) {
+        continue;
+      }
       const RegionState& st = rstate_[rv];
       const schedule::TreeSchedule& sched = *scheds_[st.choice.sched_index];
-      if (sched.center(d.from) != sched.center(v)) continue;
       if (st.phase == Phase::kInward) {
         if (sched.depth(d.from) == sched.depth(v) + 1 &&
             (upval_[v] == radio::kNoPayload || d.payload > upval_[v])) {
@@ -400,12 +401,16 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
       static_cast<std::uint32_t>((bg_clock_ % epoch_len) / iter_len) + 1;
   const std::uint32_t step_in_round =
       static_cast<std::uint32_t>(bg_clock_ % iter_len) + 1;
+  // Coin-cache stamp of this Decay iteration, taken before the clock
+  // advances: the last step of an iteration must not read as the next one.
+  const std::uint64_t stamp = (bg_clock_ / iter_len + 1) << 1;
   ++bg_clock_;
 
   tx_nodes_.clear();
   tx_payload_.clear();
   const double cluster_p = schedule::decay_probability(i);
   const double node_p = schedule::decay_probability(step_in_round);
+  const std::uint64_t iter_seed = util::mix_seed(seed_, epoch * 64 + i);
 
   // Compact the reached list lazily while collecting participants.
   std::size_t w = 0;
@@ -417,14 +422,21 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
     }
     reached_list_[w++] = v;
     if (best[v] == radio::kNoPayload) continue;
-    const std::uint32_t rv = region_of_[v];
-    const schedule::TreeSchedule& sched =
-        *scheds_[rstate_[rv].choice.sched_index];
-    // Coordinated per-cluster coin.
-    std::uint64_t h = util::mix_seed(seed_, epoch * 64 + i);
-    h = util::mix_seed(h, sched.center(v));
-    const double u01 = static_cast<double>(h >> 11) * 0x1.0p-53;
-    if (u01 >= cluster_p) continue;
+    // Coordinated per-cluster coin, drawn once per centre per iteration.
+    // A node is reached only while it is in its region's current schedule:
+    // start_window resets reached_ for the whole region when it rewrites
+    // center_now_, and after that only centres (center_now_[v] == v) and
+    // same-cluster neighbours of reached nodes become reached. So a reached
+    // node's centre is never kInvalidNode.
+    const NodeId c = center_now_[v];
+    assert(c != graph::kInvalidNode);
+    std::uint64_t& coin = coin_[c];
+    if ((coin & ~std::uint64_t{1}) != stamp) {
+      const std::uint64_t h = util::mix_seed(iter_seed, c);
+      const double u01 = static_cast<double>(h >> 11) * 0x1.0p-53;
+      coin = stamp | (u01 < cluster_p ? 1 : 0);
+    }
+    if ((coin & 1) == 0) continue;
     if (!rng.bernoulli(node_p)) continue;
     tx_nodes_.push_back(v);
     tx_payload_.push_back(best[v]);
@@ -439,11 +451,12 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
       if (best[v] == radio::kNoPayload || d.payload > best[v]) {
         best[v] = d.payload;
       }
-      const std::uint32_t rv = region_of_[v];
-      if (rv == graph::kInvalidNode || region_of_[d.from] != rv) continue;
-      const schedule::TreeSchedule& sched =
-          *scheds_[rstate_[rv].choice.sched_index];
-      if (sched.center(d.from) != sched.center(v)) continue;
+      // Transmitters are reached, so in scope: equal centres mean the same
+      // fine cluster.
+      if (region_of_[v] == graph::kInvalidNode ||
+          center_now_[d.from] != center_now_[v]) {
+        continue;
+      }
       // Same fine cluster: v now holds its cluster's message — the rescue
       // of Lemma 4.2 — and can also relay it up during inward passes.
       if (!reached_[v]) {

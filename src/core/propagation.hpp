@@ -24,6 +24,11 @@
 // of the engine's own Decay background stream (Algorithm 4), so one step
 // consumes 2 physical rounds, 4 per Compete step across both engines,
 // matching the paper's alternating construction.
+//
+// Rounds read each node's fine-cluster centre (under its region's current
+// schedule) from one array written at window start, and the background's
+// coordinated 2^-i coin is hashed once per centre per Decay iteration and
+// cached, so a round's cost follows the nodes it touches.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +86,10 @@ class PropagationEngine {
 
   const PropagationStats& stats() const { return stats_; }
 
+  /// Whether v currently holds its fine cluster's message in this window
+  /// (the wave reached it, or the background rescued it).
+  bool reached(NodeId v) const { return reached_[v] != 0; }
+
  private:
   // ---- static structure --------------------------------------------------
   const graph::Graph* g_;
@@ -128,6 +137,11 @@ class PropagationEngine {
   std::vector<Payload> snap_;  // centre snapshot (entry used at centres)
   std::vector<NodeId> reached_list_;  // compacted lazily (decay stream)
   std::vector<std::uint8_t> in_list_; // membership flags for reached_list_
+  /// Per node: its centre in its region's current schedule, written by
+  /// start_window for the region's members; kInvalidNode for nodes in no
+  /// region or out of the schedule's scope. Fine clusters never span
+  /// regions, so equal centres mean the same fine cluster.
+  std::vector<NodeId> center_now_;
   bool started_ = false;
 
   // round-stamped scratch
@@ -142,13 +156,19 @@ class PropagationEngine {
   // decay background clock
   std::uint64_t bg_clock_ = 0;
   std::uint32_t lambda_;
+  /// Per centre id: the coordinated coin of the Decay iteration it was last
+  /// drawn in, as (iteration + 1) << 1 | passed. The coin depends only on
+  /// (seed, iteration, centre), so it holds across schedules and windows.
+  std::vector<std::uint64_t> coin_;
 
   PropagationStats stats_;
 
   // ---- helpers ------------------------------------------------------------
   void build_region_structures();
   void build_sched_index(std::size_t s);
+  /// Picks the region's next schedule and runs the outward pass's setup.
   void start_window(std::uint32_t region, std::vector<Payload>& best);
+  /// Sets up the inward or the second outward pass.
   void begin_phase(std::uint32_t region, Phase phase,
                    std::vector<Payload>& best);
   void finish_inward(std::uint32_t region, std::vector<Payload>& best);

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "sim/instances.hpp"
 
 namespace radiocast::core {
 namespace {
@@ -105,6 +108,77 @@ TEST(Compete, StatsReflectActivity) {
   EXPECT_GT(r.main_stats.wave_deliveries, 0u);
   EXPECT_GT(r.main_stats.background_rounds, 0u);
   EXPECT_GT(r.background_stats.windows_started, 0u);
+}
+
+// Exact outcomes over a small grid. A change to how the engine does its
+// per-round bookkeeping must reproduce every round, delivery and coin flip;
+// only a deliberate change of behaviour re-records this table. Families:
+// gnp n=256 (average degree 8, graph seed 17), cliquepath n=128 d=32,
+// grid 12x12; sources {0: 3, n/2: 11}.
+TEST(Compete, OutcomesPinnedAcrossSeeds) {
+  struct Pinned {
+    int family;
+    bool colored;
+    std::uint64_t seed;
+    bool success;
+    std::uint64_t rounds;
+    std::uint32_t informed;
+    // main_rounds, background_rounds, windows_started, wave_deliveries,
+    // wave_blocked, decay_deliveries, rescued
+    std::array<std::uint64_t, 7> main_stats;
+    std::array<std::uint64_t, 7> background_stats;
+  };
+  static const Pinned kPinned[] = {
+      {0, false, 1, true, 352, 256, {88, 88, 6, 657, 295, 336, 56}, {88, 88, 3, 1343, 149, 130, 1}},
+      {0, false, 2, true, 128, 256, {32, 32, 1, 236, 0, 47, 24}, {32, 32, 2, 329, 21, 0, 0}},
+      {0, false, 3, true, 224, 256, {56, 56, 10, 168, 94, 6, 0}, {56, 56, 2, 572, 70, 0, 0}},
+      {0, false, 4, true, 288, 256, {72, 72, 8, 391, 161, 269, 51}, {72, 72, 3, 568, 147, 305, 23}},
+      {0, true, 1, true, 928, 256, {232, 232, 2, 214, 0, 0, 0}, {232, 232, 1, 272, 0, 77, 0}},
+      {0, true, 2, true, 704, 256, {176, 176, 1, 60, 0, 0, 0}, {176, 176, 1, 268, 0, 0, 0}},
+      {0, true, 3, true, 704, 256, {176, 176, 5, 175, 0, 22, 1}, {176, 176, 1, 240, 0, 347, 15}},
+      {0, true, 4, true, 640, 256, {160, 160, 4, 33, 0, 0, 0}, {160, 160, 2, 349, 0, 614, 9}},
+      {1, false, 1, true, 576, 128, {144, 144, 14, 1158, 108, 305, 34}, {144, 144, 5, 736, 148, 271, 51}},
+      {1, false, 2, true, 192, 128, {48, 48, 6, 393, 8, 0, 0}, {48, 48, 2, 156, 42, 12, 0}},
+      {1, false, 3, true, 288, 128, {72, 72, 12, 671, 0, 126, 0}, {72, 72, 3, 275, 122, 269, 43}},
+      {1, false, 4, true, 256, 128, {64, 64, 20, 254, 141, 116, 20}, {64, 64, 3, 272, 24, 109, 18}},
+      {1, true, 1, true, 512, 128, {128, 128, 6, 299, 0, 250, 23}, {128, 128, 2, 135, 0, 220, 44}},
+      {1, true, 2, true, 544, 128, {136, 136, 6, 469, 0, 480, 13}, {136, 136, 2, 187, 0, 194, 8}},
+      {1, true, 3, true, 608, 128, {152, 152, 9, 294, 0, 420, 48}, {152, 152, 2, 197, 0, 266, 37}},
+      {1, true, 4, true, 704, 128, {176, 176, 15, 236, 0, 367, 41}, {176, 176, 2, 166, 0, 244, 9}},
+      {2, false, 1, true, 256, 144, {64, 64, 4, 507, 54, 10, 2}, {64, 64, 3, 432, 34, 19, 5}},
+      {2, false, 2, true, 224, 144, {56, 56, 6, 299, 34, 4, 0}, {56, 56, 2, 335, 21, 46, 10}},
+      {2, false, 3, true, 320, 144, {80, 80, 20, 504, 29, 155, 22}, {80, 80, 3, 266, 60, 174, 14}},
+      {2, false, 4, true, 352, 144, {88, 88, 35, 568, 103, 253, 29}, {88, 88, 3, 367, 78, 199, 17}},
+      {2, true, 1, true, 736, 144, {184, 184, 2, 256, 0, 153, 11}, {184, 184, 2, 232, 0, 160, 0}},
+      {2, true, 2, true, 608, 144, {152, 152, 4, 252, 0, 221, 7}, {152, 152, 2, 188, 0, 164, 2}},
+      {2, true, 3, true, 800, 144, {200, 200, 10, 280, 0, 350, 14}, {200, 200, 2, 124, 0, 249, 12}},
+      {2, true, 4, true, 896, 144, {224, 224, 21, 311, 0, 439, 18}, {224, 224, 2, 134, 0, 335, 6}}
+  };
+  const sim::Instance instances[] = {
+      sim::make_gnp_instance(256, 8.0 / 255, 17, 1),
+      sim::make_cliquepath_instance(128, 32), sim::make_grid_instance(12, 12)};
+  auto counters = [](const PropagationStats& s) {
+    return std::array<std::uint64_t, 7>{
+        s.main_rounds,     s.background_rounds, s.windows_started,
+        s.wave_deliveries, s.wave_blocked,      s.decay_deliveries,
+        s.rescued};
+  };
+  for (const Pinned& pin : kPinned) {
+    const sim::Instance& inst = instances[pin.family];
+    const graph::NodeId n = inst.g.node_count();
+    CompeteParams p = fast_params();
+    p.mode = pin.colored ? schedule::ScheduleMode::kColored
+                         : schedule::ScheduleMode::kPipelined;
+    const auto r =
+        compete(inst.g, inst.diameter, {{0, 3}, {n / 2, 11}}, p, pin.seed);
+    SCOPED_TRACE(inst.name + (pin.colored ? " colored" : " pipelined") +
+                 " seed " + std::to_string(pin.seed));
+    EXPECT_EQ(r.success, pin.success);
+    EXPECT_EQ(r.rounds, pin.rounds);
+    EXPECT_EQ(r.informed, pin.informed);
+    EXPECT_EQ(counters(r.main_stats), pin.main_stats);
+    EXPECT_EQ(counters(r.background_stats), pin.background_stats);
+  }
 }
 
 // Ablations (E9): every configuration must still complete — the paper's

@@ -146,6 +146,77 @@ TEST(PropagationEngine, RepeatedWindowsEventuallyCoverTheCurtailChain) {
   EXPECT_EQ(covered_prev, 4u);
 }
 
+/// path(n) cut into two clusters: nodes [0, cut) rooted at 0 and
+/// [cut, n) rooted at n - 1, each tree running along the path.
+Partition split_path_clusters(graph::NodeId n, graph::NodeId cut) {
+  Partition p = whole_path_cluster(n);
+  for (graph::NodeId v = cut; v < n; ++v) {
+    p.center[v] = n - 1;
+    p.dist_to_center[v] = n - 1 - v;
+    p.parent[v] = v == n - 1 ? v : v + 1;
+  }
+  return p;
+}
+
+TEST(PropagationEngine, ReachStaysInsideTheCurrentScheduleAcrossSwitches) {
+  // The region alternates between one whole-path cluster and a split into
+  // [0, 3) and [3, 12) on every window; every node knows a message. With a
+  // 2-hop curtail, every node past the curtail is reached only through a
+  // background rescue, and node 3 sits next to node 2, which the whole
+  // cluster's wave reaches. After each step every reached node must sit in
+  // a cluster of the schedule its region is running now: its centre is
+  // reached, and it is the centre or has a reached neighbour in the same
+  // cluster.
+  constexpr graph::NodeId n = 12;
+  const graph::Graph g = graph::path(n);
+  const Partition regions = cluster::trivial_partition(n);
+  const Partition whole = whole_path_cluster(n);
+  const Partition split = split_path_clusters(n, 3);
+  for (const ScheduleMode mode :
+       {ScheduleMode::kPipelined, ScheduleMode::kColored}) {
+    const TreeSchedule sched_whole(g, whole, mode);
+    const TreeSchedule sched_split(g, split, mode);
+    const std::vector<const TreeSchedule*> scheds{&sched_whole, &sched_split};
+    std::uint32_t current = 0;
+    PropagationEngine::Config cfg;
+    cfg.graph = &g;
+    cfg.regions = &regions;
+    cfg.scheds = scheds;
+    cfg.choose = [&current](graph::NodeId, std::uint64_t pos) {
+      current = static_cast<std::uint32_t>(pos % 2);
+      return WindowChoice{current, 2};
+    };
+    cfg.icp_background = true;
+    cfg.seed = 11;
+    PropagationEngine eng(cfg);
+    std::vector<Payload> best(n);
+    for (graph::NodeId v = 0; v < n; ++v) best[v] = v + 1;
+    util::Rng rng(12);
+    for (int step = 0; step < 600; ++step) {
+      eng.step(best, rng);
+      const TreeSchedule& cur = *scheds[current];
+      for (graph::NodeId v = 0; v < n; ++v) {
+        if (!eng.reached(v)) continue;
+        SCOPED_TRACE(std::string(mode == ScheduleMode::kColored ? "colored"
+                                                                : "pipelined") +
+                     " step " + std::to_string(step) + " node " +
+                     std::to_string(v));
+        ASSERT_TRUE(cur.in_scope(v));
+        const graph::NodeId c = cur.center(v);
+        EXPECT_TRUE(eng.reached(c));
+        bool attached = v == c;
+        for (graph::NodeId w : g.neighbors(v)) {
+          attached = attached || (eng.reached(w) && cur.center(w) == c);
+        }
+        EXPECT_TRUE(attached);
+      }
+    }
+    EXPECT_GE(eng.stats().windows_started, 20u);
+    EXPECT_GT(eng.stats().wave_deliveries, 0u);
+    EXPECT_GT(eng.stats().rescued, 0u);
+  }
+}
+
 TEST(PropagationEngine, InvalidConfigThrows) {
   PathFixture fx(4);
   PathFixture other(5);  // a different node count
