@@ -12,22 +12,26 @@
 // Part 2 — sparse-tail rounds. A geometrically decaying transmitter
 // schedule on a large Gnp instance (the long-tail shape of Decay back-off
 // and broadcast mop-up phases: after a few dense rounds, almost every
-// round has a handful of transmitters), resolved by bitslice through two
-// entry points: step_lanes over each round's materialised n-word mask
-// (its prologue scans all n) and step_lanes_active over the transmitter
-// list itself (its prologue walks the list, so tail-round cost follows
-// active_listeners, not n). Outcomes are cross-checksummed; the
-// acceptance bar is the list entry >= 5x the mask entry per tail round at
-// n = 1e6 (full mode).
+// round has a handful of transmitters), resolved by bitslice's step_lanes
+// from two lists: an n-entry list naming every node (zero lane masks for
+// the silent ones, so the prologue walks all n, like an n-word mask
+// scan) and the active-only list (the prologue walks the transmitters,
+// so tail-round cost follows active_listeners, not n). Outcomes are
+// cross-checksummed; the acceptance bar is the active-only list >= 5x the
+// n-entry list per tail round at n = 1e6 (full mode).
 //
 // Part 3 — knowledge-plane layout. The 64-lane max-fold kernel timed
 // against node-major vs lane-major best[] planes over one dense round's
 // deliveries; the acceptance bar is node-major >= 1.3x lane-major.
 //
-// Part 4 — pooled dense rounds. 64-lane gather-shaped resolve_batch
+// Part 4 — pooled dense rounds. 64-lane gather-shaped resolve_lanes
 // rounds on bitslice at 1/2/4 workers: the work-stealing pool runs
 // degree-balanced listener slices (slices x lanes); outcomes stay
 // byte-identical for every worker count.
+//
+// Parts 1, 2 and 4 relay one fixed value, so their rounds fold a constant
+// plane into a shared knowledge plane: bitslice's const-fold skips sender
+// recovery, and only the delivered masks are read.
 //
 // --medium=scalar|bitslice restricts the comparison to one backend (used
 // by the CI smoke matrix); by default all rows run.
@@ -108,7 +112,7 @@ std::vector<double> flood_scalar(const graph::Graph& g, graph::NodeId src,
 }
 
 /// One bitslice batch of the flood: all lanes advance per round through a
-/// single BatchNetwork step. Returns one {rounds, deliveries, wall ms}
+/// single BatchNetwork step_lanes. Returns one {rounds, deliveries, wall ms}
 /// vector per lane (wall is the batch wall divided across lanes).
 std::vector<std::vector<double>> flood_bitslice(
     const graph::Graph& g, graph::NodeId src, std::uint32_t reachable,
@@ -130,30 +134,30 @@ std::vector<std::vector<double>> flood_bitslice(
   std::vector<std::uint32_t> informed_count(static_cast<std::size_t>(lanes),
                                             1);
   std::vector<std::uint64_t> rounds_done(static_cast<std::size_t>(lanes), 0);
-  std::vector<std::uint64_t> tx_mask(n, 0);
+  std::vector<radio::ActiveTx> tx;
   const std::vector<radio::Payload> payload(n, kFloodValue);
+  std::vector<radio::Payload> heard(n, radio::kNoPayload);
   radio::BatchOutcome out;
   std::uint64_t active = reachable > 1 ? lane_mask : 0;
   std::uint64_t r = 0;
   while (active != 0 && r < cap) {
     const std::uint32_t s = static_cast<std::uint32_t>(r % depth) + 1;
+    tx.clear();
     for (graph::NodeId v = 0; v < n; ++v) {
       const std::uint64_t m = informed_mask[v] & active;
-      if (m == 0) {
-        tx_mask[v] = 0;
-        continue;
-      }
+      if (m == 0) continue;
       // Bernoulli(2^-s) per lane: AND of s independent coin words (all
       // bits die early for large s, so the chain usually short-circuits).
       std::uint64_t coin = util::splitmix64(coin_state);
       for (std::uint32_t j = 1; j < s && coin != 0; ++j) {
         coin &= util::splitmix64(coin_state);
       }
-      tx_mask[v] = m & coin;
+      if ((m & coin) != 0) tx.push_back({v, m & coin});
     }
-    // Mask-only resolution: the flood needs who-got-informed, not which
-    // neighbour delivered, so skip the sender-recovery pass.
-    bn.step(tx_mask, payload, out, /*with_senders=*/false);
+    // Constant-plane fold: the flood needs who-got-informed, not which
+    // neighbour delivered, so the const-fold skips sender recovery.
+    bn.step_lanes(tx, payload, lanes, radio::KnowledgePlanes::shared(heard),
+                  out);
     for (const auto& dm : out.delivered) {
       std::uint64_t fresh = dm.lanes & ~informed_mask[dm.node];
       if (fresh == 0) continue;
@@ -322,34 +326,37 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
 
     util::Table t({"entry", "rounds", "active/round", "wall ms",
                    "lane-rounds/s", "tail ns/round", "tail speedup"});
-    double mask_tail_ns = 0.0;
-    std::uint64_t mask_sum = 0;
-    std::vector<std::uint64_t> mask(n, 0);
-    for (const bool listed : {false, true}) {
+    double all_n_tail_ns = 0.0;
+    std::uint64_t all_n_sum = 0;
+    std::vector<radio::ActiveTx> all_n(n);
+    for (graph::NodeId v = 0; v < n; ++v) all_n[v] = {v, 0};
+    std::vector<radio::Payload> heard(n, radio::kNoPayload);
+    const radio::KnowledgePlanes best = radio::KnowledgePlanes::shared(heard);
+    for (const bool active_only : {false, true}) {
       radio::BatchNetwork bn(g, kLanes, radio::CollisionModel::kNoDetection,
                              radio::MediumKind::kBitslice);
       radio::BatchOutcome out;
-      // Times one round through the chosen entry point. The mask entry's
-      // n-word mask is materialised (and cleared) outside the timed step:
-      // the comparison is the medium's cost, not the caller's.
+      // Times one round handed over as the chosen list. The n-entry list
+      // is materialised (and cleared) outside the timed step: the
+      // comparison is the medium's cost, not the caller's.
       auto step = [&](const std::vector<radio::ActiveTx>& tx) {
-        if (listed) {
+        if (active_only) {
           const double t0 = now_ms();
-          bn.step_lanes_active(tx, payload, out, /*with_senders=*/false);
+          bn.step_lanes(tx, payload, kLanes, best, out);
           return now_ms() - t0;
         }
-        for (const auto& e : tx) mask[e.node] |= e.lanes;
+        for (const auto& e : tx) all_n[e.node].lanes |= e.lanes;
         const double t0 = now_ms();
-        bn.step_lanes(mask, payload, out, /*with_senders=*/false);
+        bn.step_lanes(all_n, payload, kLanes, best, out);
         const double ms = now_ms() - t0;
-        for (const auto& e : tx) mask[e.node] = 0;
+        for (const auto& e : tx) all_n[e.node].lanes = 0;
         return ms;
       };
       step(schedule.front());  // warmup
       bn.reset_counters();
       bn.medium().reset_phase_timers();
       // Full schedule: checksum the delivered masks (order-independent
-      // fold) so both entry points are held to identical outcomes.
+      // fold) so both lists are held to identical outcomes.
       std::uint64_t checksum = 0;
       double wall = 0.0;
       for (const auto& tx : schedule) {
@@ -372,31 +379,31 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
         }
       }
       const double tail_ns = tail_ms * 1e6 / (tail_rounds * tail_iters);
-      if (!listed) {
-        mask_tail_ns = tail_ns;
-        mask_sum = checksum;
-      } else if (checksum != mask_sum) {
+      if (!active_only) {
+        all_n_tail_ns = tail_ns;
+        all_n_sum = checksum;
+      } else if (checksum != all_n_sum) {
         ctx.note("WARNING: sparse-tail outcome checksum mismatch between "
-                 "step_lanes and step_lanes_active");
+                 "the n-entry and active-only lists");
       }
 
       const double active_per_round =
           static_cast<double>(phases.active_listeners) / total_rounds;
       t.row()
-          .add(listed ? "step_lanes_active" : "step_lanes")
+          .add(active_only ? "active-only" : "n-entry")
           .add(total_rounds, 0)
           .add(active_per_round, 0)
           .add(wall, 1)
           .add(wall > 0 ? total_rounds * kLanes * 1e3 / wall : 0.0, 0)
           .add(tail_ns, 0)
-          .add(mask_tail_ns > 0 && tail_ns > 0 ? mask_tail_ns / tail_ns : 1.0,
+          .add(all_n_tail_ns > 0 && tail_ns > 0 ? all_n_tail_ns / tail_ns
+                                                 : 1.0,
                2);
-      // List-driven rounds time their phases as enqueue/drain.
-      ctx.record({listed ? "sparse-tail/step_lanes_active"
-                         : "sparse-tail/step_lanes",
+      ctx.record({active_only ? "sparse-tail/active-only"
+                              : "sparse-tail/n-entry",
                   0, total_rounds, deliveries, wall, "bitslice", kLanes, "",
-                  static_cast<double>(phases.traverse_ns + phases.enqueue_ns),
-                  static_cast<double>(phases.output_ns + phases.drain_ns),
+                  static_cast<double>(phases.traverse_ns),
+                  static_cast<double>(phases.output_ns),
                   static_cast<double>(phases.recover_ns),
                   static_cast<double>(phases.active_listeners)});
     }
@@ -404,9 +411,9 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              "bitslice sparse-tail rounds on gnp(n=" + std::to_string(n) +
                  ", avg_deg~8), geometric source decay, 64 lanes",
              "medium_backends_sparse_tail");
-    ctx.note("(step_lanes_active builds the round from the transmitter "
-             "list — tail cost follows active/round, not n; acceptance bar "
-             "is >= 5x step_lanes on tail rounds at n=1e6)");
+    ctx.note("(the active-only list names just the transmitters — tail "
+             "cost follows active/round, not n; acceptance bar is >= 5x "
+             "the n-entry list on tail rounds at n=1e6)");
   }
 
   // ---- Part 3: knowledge-plane layout (node-major vs lane-major) -------
@@ -422,21 +429,25 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
     const graph::Graph g = graph::gnp(n, 10.0 / n, grng);
     constexpr int kLanes = radio::kMaxLanes;
     const std::uint64_t live = radio::lane_mask(kLanes);
-    std::vector<std::uint64_t> tx_mask(n);
+    std::vector<radio::ActiveTx> tx;
     {
       // ~25% per-lane transmit density: the fold-heavy regime where most
       // listeners win in several lanes.
       std::uint64_t state = util::mix_seed(seed, 6);
       for (graph::NodeId v = 0; v < n; ++v) {
-        tx_mask[v] = util::splitmix64(state) & util::splitmix64(state) & live;
+        const std::uint64_t m =
+            util::splitmix64(state) & util::splitmix64(state) & live;
+        if (m != 0) tx.push_back({v, m});
       }
     }
     const std::vector<radio::Payload> payload(n, kFloodValue);
+    std::vector<radio::Payload> best(static_cast<std::size_t>(kLanes) * n,
+                                     radio::kNoPayload);
     radio::BatchOutcome out;
     auto bitslice = radio::make_medium(radio::MediumKind::kBitslice, g,
                                        radio::CollisionModel::kNoDetection);
-    bitslice->resolve_batch(tx_mask, payload, kLanes, out,
-                            /*with_senders=*/false);
+    bitslice->resolve_lanes(tx, payload, kLanes,
+                            radio::KnowledgePlanes::node_major(best, n), out);
     std::uint64_t fold_writes = 0;
     for (const auto& dm : out.delivered) {
       fold_writes += std::popcount(dm.lanes);
@@ -446,8 +457,6 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
     util::Table t({"best layout", "folds/round", "ns/round", "ns/fold",
                    "speedup"});
     double lane_major_ns = 0.0;
-    std::vector<radio::Payload> best(static_cast<std::size_t>(kLanes) * n,
-                                     radio::kNoPayload);
     for (const bool node_major : {false, true}) {
       const radio::KnowledgePlanes view =
           node_major ? radio::KnowledgePlanes::node_major(best, n)
@@ -509,12 +518,16 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
     const graph::Graph g = graph::gnp(n, 10.0 / n, grng);
     constexpr int kLanes = radio::kMaxLanes;
     const std::uint64_t live = radio::lane_mask(kLanes);
-    std::vector<std::uint64_t> tx_mask(n);
+    std::vector<radio::ActiveTx> tx;
     std::uint64_t state = util::mix_seed(seed, 8);
     for (graph::NodeId v = 0; v < n; ++v) {
-      tx_mask[v] = util::splitmix64(state) & util::splitmix64(state) & live;
+      const std::uint64_t m =
+          util::splitmix64(state) & util::splitmix64(state) & live;
+      if (m != 0) tx.push_back({v, m});
     }
     const std::vector<radio::Payload> payload(n, kFloodValue);
+    std::vector<radio::Payload> heard(n, radio::kNoPayload);
+    const radio::KnowledgePlanes best = radio::KnowledgePlanes::shared(heard);
     const int iters = quick ? 10 : 20;
 
     util::Table t({"backend", "workers", "ns/round", "lane-rounds/s",
@@ -530,11 +543,10 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
                                   radio::CollisionModel::kNoDetection,
                                   workers);
       radio::BatchOutcome out;
-      m->resolve_batch(tx_mask, payload, kLanes, out, /*with_senders=*/false);
+      m->resolve_lanes(tx, payload, kLanes, best, out);
       const double t0 = now_ms();
       for (int i = 0; i < iters; ++i) {
-        m->resolve_batch(tx_mask, payload, kLanes, out,
-                         /*with_senders=*/false);
+        m->resolve_lanes(tx, payload, kLanes, best, out);
       }
       const double ns = (now_ms() - t0) * 1e6 / iters;
       if (workers == 1) one_worker_ns = ns;

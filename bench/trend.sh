@@ -6,7 +6,7 @@
 # them against the committed BENCH_baseline.json acceptance bars:
 #
 #   batch_reps_speedup    bitslice 64-seed replication vs scalar  (>= 8x)
-#   sparse_tail_speedup   bitslice step_lanes_active vs step_lanes
+#   sparse_tail_speedup   bitslice active-only vs n-entry list
 #                         on tail rounds                          (>= 5x)
 #   fold_layout_speedup   node-major vs lane-major 64-lane fold   (>= 1.3x)
 #   sharded_scaling_w4    bitslice 4-worker vs 1-worker dense     (>= 2x,
@@ -71,7 +71,7 @@ col() {
 }
 
 batch=$(col "${out_dir}/medium_backends_batch.csv" '^bitslice,' 'speedup')
-tail_sp=$(col "${out_dir}/medium_backends_sparse_tail.csv" '^step_lanes_active,' 'tail speedup')
+tail_sp=$(col "${out_dir}/medium_backends_sparse_tail.csv" '^active-only,' 'tail speedup')
 fold=$(col "${out_dir}/medium_backends_fold_layout.csv" '^node-major,' 'speedup')
 scale=$(col "${out_dir}/medium_backends_two_level.csv" '^bitslice,4,' 'scaling')
 

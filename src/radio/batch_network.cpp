@@ -17,49 +17,15 @@ BatchNetwork::BatchNetwork(const graph::Graph& g, int lanes,
   }
 }
 
-void BatchNetwork::step(std::span<const std::uint64_t> tx_mask,
-                        PayloadPlanes payload, BatchOutcome& out,
-                        bool with_senders) {
-  medium_->resolve_batch(tx_mask, payload, lanes_, out, with_senders);
-  ++rounds_;
-  for (int l = 0; l < lanes_; ++l) {
-    total_tx_[l] += out.transmitter_count[l];
-    total_delivered_[l] += out.delivered_count[l];
-    total_collided_[l] += out.collided_count[l];
+void BatchNetwork::step_lanes(std::span<const ActiveTx> tx,
+                              PayloadPlanes payload, int lanes,
+                              KnowledgePlanes best, BatchOutcome& out) {
+  if (lanes < 1 || lanes > lanes_) {
+    throw std::invalid_argument("BatchNetwork::step_lanes: lanes out of range");
   }
-}
-
-void BatchNetwork::step_lanes_max(std::span<const std::uint64_t> tx_mask,
-                                  PayloadPlanes payload,
-                                  KnowledgePlanes best, BatchOutcome& out) {
-  medium_->resolve_batch_max(tx_mask, payload, lanes_, best, out);
+  medium_->resolve_lanes(tx, payload, lanes, best, out);
   ++rounds_;
-  for (int l = 0; l < lanes_; ++l) {
-    total_tx_[l] += out.transmitter_count[l];
-    total_delivered_[l] += out.delivered_count[l];
-    total_collided_[l] += out.collided_count[l];
-  }
-}
-
-void BatchNetwork::step_lanes_max_active(std::span<const ActiveTx> tx,
-                                         PayloadPlanes payload,
-                                         KnowledgePlanes best,
-                                         BatchOutcome& out) {
-  medium_->resolve_batch_max_active(tx, payload, lanes_, best, out);
-  ++rounds_;
-  for (int l = 0; l < lanes_; ++l) {
-    total_tx_[l] += out.transmitter_count[l];
-    total_delivered_[l] += out.delivered_count[l];
-    total_collided_[l] += out.collided_count[l];
-  }
-}
-
-void BatchNetwork::step_lanes_active(std::span<const ActiveTx> tx,
-                                     PayloadPlanes payload, BatchOutcome& out,
-                                     bool with_senders) {
-  medium_->resolve_batch_active(tx, payload, lanes_, out, with_senders);
-  ++rounds_;
-  for (int l = 0; l < lanes_; ++l) {
+  for (int l = 0; l < lanes; ++l) {
     total_tx_[l] += out.transmitter_count[l];
     total_delivered_[l] += out.delivered_count[l];
     total_collided_[l] += out.collided_count[l];

@@ -46,37 +46,13 @@ class BatchNetwork : public LaneExecutor {
   }
   Medium& medium() override { return *medium_; }
 
-  /// Resolves one round in all lanes: bit l of tx_mask[v] says whether v
-  /// transmits in lane l; `payload` is what each node sends — one shared
-  /// plane or per-lane lane-major planes (see PayloadPlanes).
-  /// `with_senders` opts into per-delivery sender/payload detail; the
-  /// aggregate delivered masks and counters come either way.
-  void step(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
-            BatchOutcome& out, bool with_senders = true);
-
-  /// LaneExecutor entry point; identical to step().
-  void step_lanes(std::span<const std::uint64_t> tx_mask,
-                  PayloadPlanes payload, BatchOutcome& out,
-                  bool with_senders = true) override {
-    step(tx_mask, payload, out, with_senders);
-  }
-
-  /// Fold variant (see LaneExecutor): one Medium::resolve_batch_max call,
-  /// counters advance like step().
-  void step_lanes_max(std::span<const std::uint64_t> tx_mask,
-                      PayloadPlanes payload, KnowledgePlanes best,
-                      BatchOutcome& out) override;
-
-  /// Sparse variant (see LaneExecutor): one Medium::resolve_batch_active
-  /// call — the O(active-work) path on the bitslice backend.
-  void step_lanes_active(std::span<const ActiveTx> tx, PayloadPlanes payload,
-                         BatchOutcome& out, bool with_senders = true) override;
-
-  /// Sparse fold variant (see LaneExecutor): one
-  /// Medium::resolve_batch_max_active call.
-  void step_lanes_max_active(std::span<const ActiveTx> tx,
-                             PayloadPlanes payload, KnowledgePlanes best,
-                             BatchOutcome& out) override;
+  /// LaneExecutor entry point: one Medium::resolve_lanes call over the
+  /// caller's `lanes` (1 <= lanes <= lanes(), else std::invalid_argument).
+  /// Per-lane counters advance for those lanes only, so a narrower batch
+  /// than the network's width (fewer seeds than lanes) runs exactly like a
+  /// network of that width.
+  void step_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
+                  int lanes, KnowledgePlanes best, BatchOutcome& out) override;
 
   Round rounds_elapsed() const { return rounds_; }
   const std::array<std::uint64_t, kMaxLanes>& transmissions_by_lane() const {

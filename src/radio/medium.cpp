@@ -62,7 +62,6 @@ std::uint64_t Medium::now_ns() {
 
 void BatchOutcome::clear() {
   delivered.clear();
-  deliveries.clear();
   collisions.clear();
   transmitter_count.fill(0);
   delivered_count.fill(0);

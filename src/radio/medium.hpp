@@ -3,20 +3,32 @@
 //
 // Medium is the seam between protocol logic and the collision kernel:
 // every round a transmitter set goes in and the successful receptions
-// (plus collision evidence) come out. Two backends implement it:
+// (plus collision evidence) come out. It has two round entry points:
+//
+//   resolve()       — one instance: a transmitter list with one payload
+//                     each; per-delivery (listener, sender, payload) out
+//   resolve_lanes() — up to 64 Monte-Carlo lanes: an ActiveTx list of
+//                     (node, lane mask) entries in, each delivery
+//                     max-folded into per-lane knowledge planes, delivered
+//                     masks and counters out. Every batched protocol in the
+//                     paper (Decay carrying Compete's max(S), the BGI/CR
+//                     yardsticks) is such a max-relay
+//
+// Two backends implement it:
 //
 //   scalar   — epoch-stamped reference kernel; resolve() adaptively picks a
 //              frontier (transmitter-scatter) or dense (full-array) path
-//              from the transmitter density, and the batch entry points
-//              decompose into one resolve() per lane
+//              from the transmitter density, and resolve_lanes()
+//              decomposes into one resolve() per lane
 //   bitslice — 64-replication-wide batch kernel: per-listener ">=1 tx" and
 //              ">=2 tx" bitplanes updated with bitwise saturating adds, so
 //              one CSR traversal resolves a round for up to 64 independent
-//              Monte-Carlo lanes at once. Its resolve_batch_active entry
-//              takes the sparse transmitter list directly, so a sparse
-//              round costs O(active work) — never an O(n) mask scan — and
-//              with more than one worker its dense (gather) rounds run on
-//              a work-stealing pool over degree-balanced listener slices
+//              Monte-Carlo lanes at once. Its prologue walks the list
+//              itself, so a sparse round costs O(active work) — never an
+//              O(n) mask scan — and with more than one worker its dense
+//              (gather) rounds run on a work-stealing pool over
+//              degree-balanced listener slices. Its resolve() is the same
+//              fold over a one-lane plane of sender ids
 //
 // Both backends implement identical interference semantics — the
 // cross-backend differential test (tests/test_medium_backends.cpp) holds
@@ -121,10 +133,9 @@ struct PhaseTimers {
   std::uint64_t traverse_ns = 0;  // plane accumulation / kernel traversal
   std::uint64_t output_ns = 0;    // output scan: masks, tallies, re-zeroing
   std::uint64_t recover_ns = 0;   // sender recovery (row scan)
-  /// Sparse-list phases (bitslice rounds entered through
-  /// resolve_batch_active or resolve()): the transmitter-list prologue plus
-  /// traversal, and the output scan. Those rounds report these instead of
-  /// traverse_ns/output_ns, so list-driven and mask-driven cost stay apart.
+  /// Always 0: every round reports traverse_ns/output_ns. The fields stay
+  /// because the v2 sweep-journal record layout and the perfbench report
+  /// carry them (like idplane_rounds below).
   std::uint64_t enqueue_ns = 0;
   std::uint64_t drain_ns = 0;
   /// Cumulative woken-listener count across rounds (sum of each round's
@@ -150,7 +161,7 @@ struct PhaseTimers {
   void reset() { *this = PhaseTimers{}; }
 };
 
-/// Lane capacity of the batch entry point (width of the bitplane words).
+/// Lane capacity of resolve_lanes (width of the bitplane words).
 constexpr int kMaxLanes = 64;
 
 /// Mask with the low `lanes` bits set — the "every lane" word for a batch
@@ -160,7 +171,7 @@ constexpr std::uint64_t lane_mask(int lanes) {
                             : (std::uint64_t{1} << lanes) - 1;
 }
 
-/// Per-lane payload view for the batched entry points: entry (lane, node)
+/// Per-lane payload view for resolve_lanes: entry (lane, node)
 /// is what the node transmits in that lane. Three layouts, all expressed
 /// through one dual-stride address function
 ///
@@ -249,8 +260,8 @@ class PayloadPlanes {
   int lane_capacity_ = kMaxLanes;
 };
 
-/// Mutable per-lane knowledge-plane view — the fold target of the
-/// resolve_batch_max entry points. Same dual-stride address function as
+/// Mutable per-lane knowledge-plane view — the fold target of
+/// resolve_lanes. Same dual-stride address function as
 /// PayloadPlanes (shared / lane-major / node-major); node-major is the
 /// layout the batched protocol cores use, so each listener's up-to-64
 /// folded lane words land in one contiguous cache-line run instead of the
@@ -264,6 +275,14 @@ class KnowledgePlanes {
       : data_(plane.data()), plane_size_(plane.size()), lane_capacity_(1) {}
   KnowledgePlanes(std::vector<Payload>& plane)
       : KnowledgePlanes(std::span<Payload>(plane)) {}
+
+  /// One node_count-sized plane every lane folds into (lane_stride 0):
+  /// node v's word ends up as the max of what it received in any lane.
+  /// For callers that only read the delivered masks (a fixed-value flood),
+  /// so a 64-lane round needs n words of fold target, not 64 x n.
+  static KnowledgePlanes shared(std::span<Payload> plane) {
+    return KnowledgePlanes(plane.data(), plane.size(), 0, 1, kMaxLanes);
+  }
 
   /// Lane-major planes over a (lanes x node_count) buffer (view adapter
   /// for consumers that still want plane-contiguous extraction).
@@ -320,27 +339,17 @@ class KnowledgePlanes {
   int lane_capacity_ = 1;
 };
 
-/// One transmitter of a batched round in sparse form: the node plus the
-/// lane set it transmits in. Handing the bitslice backend the transmitter
-/// list directly lets a round cost O(sum of active degrees) with no O(n)
-/// mask scan. Entries with the
-/// same node are allowed; their lane masks OR together (the payload comes
-/// from the PayloadPlanes view, so there is nothing else to merge).
+/// One transmitter of a batched round: the node plus the lane set it
+/// transmits in. Handing the bitslice backend the transmitter list
+/// directly lets a round cost O(sum of active degrees) with no O(n) mask
+/// scan. Entries with the same node are allowed; their lane masks OR
+/// together (the payload comes from the PayloadPlanes view, so there is
+/// nothing else to merge). Entries with a zero lane mask are skipped.
 struct ActiveTx {
   graph::NodeId node;
   std::uint64_t lanes;
 
   bool operator==(const ActiveTx&) const = default;
-};
-
-/// One successful reception in one lane of a batched round.
-struct BatchDelivery {
-  graph::NodeId node;
-  std::uint8_t lane;
-  graph::NodeId from;
-  Payload payload;
-
-  bool operator==(const BatchDelivery&) const = default;
 };
 
 /// Aggregate view of one listener's receptions: the lane set in which it
@@ -363,14 +372,10 @@ struct BatchCollision {
 
 /// Outcome of one batched round across up to kMaxLanes lanes.
 struct BatchOutcome {
-  /// Always filled: one entry per listener that received in >= 1 lane.
-  /// Listeners appear at most once; entries cover every delivery.
+  /// One entry per listener that received in >= 1 lane. Listeners appear
+  /// at most once; entries cover every delivery. What was delivered is in
+  /// the knowledge planes the round folded into.
   std::vector<BatchDeliveredMask> delivered;
-  /// Per-delivery sender + payload detail. Filled only when resolve_batch
-  /// runs with_senders — recovering the unique sender costs an extra row
-  /// scan per delivered listener, which mask-only consumers (Monte-Carlo
-  /// counting, flood frontiers) don't want to pay.
-  std::vector<BatchDelivery> deliveries;
   /// Filled only under CollisionModel::kDetection (see SparseOutcome).
   std::vector<BatchCollision> collisions;
   std::array<std::uint32_t, kMaxLanes> transmitter_count{};
@@ -423,51 +428,24 @@ class Medium {
                        std::span<const Payload> tx_payload,
                        SparseOutcome& out) = 0;
 
-  /// Batched entry point: bit l of tx_mask[v] says whether v transmits in
-  /// replication lane l (bits >= `lanes` are ignored); `payload` supplies
-  /// what each node sends per lane — either one shared plane (the original
-  /// lane-invariant contract) or lane-major per-lane planes, so batched
-  /// protocols can relay lane-local state (see PayloadPlanes).
-  /// `with_senders` opts into the per-delivery sender/payload detail
-  /// (out.deliveries); the aggregate delivered masks and all counters are
-  /// produced either way. Scalar decomposes into per-lane resolve() calls;
-  /// bitslice runs the one-traversal bitplane kernel.
-  virtual void resolve_batch(std::span<const std::uint64_t> tx_mask,
+  /// Batched entry point for max-relay protocols (Decay, Compete): the
+  /// round's transmitters arrive as (node, lane mask) entries (bits >=
+  /// `lanes` are ignored; duplicate nodes OR their masks; every node must
+  /// be < node_count, else std::invalid_argument with the medium left
+  /// usable). `payload` supplies what each node sends per lane — one
+  /// shared plane or per-lane planes (see PayloadPlanes). Every delivery
+  /// (v, lane) max-combines its payload straight into the knowledge planes,
+  /// best.at(lane, v) = max(best, delivered) with kNoPayload as "nothing
+  /// yet", instead of materializing per-delivery records; node-major
+  /// `best` is the fast path (each listener's folded lane words are one
+  /// contiguous run). Folding a plane of node ids into kNoPayload-filled
+  /// planes names each delivery's unique sender. `out` is overwritten with
+  /// the delivered masks, collision masks and per-lane counters. Scalar
+  /// decomposes into per-lane resolve() calls; bitslice runs the
+  /// one-traversal bitplane kernel.
+  virtual void resolve_lanes(std::span<const ActiveTx> tx,
                              PayloadPlanes payload, int lanes,
-                             BatchOutcome& out, bool with_senders = true) = 0;
-
-  /// Fold variant of resolve_batch for max-relay protocols (Decay,
-  /// Compete): every delivery (v, lane) max-combines its payload straight
-  /// into the knowledge planes — best.at(lane, v) = max(best, delivered)
-  /// with kNoPayload as "nothing yet" — instead of materializing
-  /// per-delivery records. The view accepts any KnowledgePlanes layout;
-  /// node-major is the fast path (each listener's folded lane words are
-  /// one contiguous run). `out` carries the delivered masks and counters;
-  /// out.deliveries is left empty (the whole point is not to build it:
-  /// for a 64-lane batch that is millions of records per replication
-  /// sweep). Results are identical to running resolve_batch with senders
-  /// and folding the deliveries afterwards.
-  virtual void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                                 PayloadPlanes payload, int lanes,
-                                 KnowledgePlanes best, BatchOutcome& out) = 0;
-
-  /// Sparse batched entry point: the transmitter set arrives as a list of
-  /// (node, lane mask) entries instead of an n-word dense mask, so the
-  /// round costs O(active work) with no per-node scan. Duplicate nodes OR
-  /// their lane masks; entries must satisfy node < node_count (throws
-  /// otherwise, leaving the medium usable). Semantics are identical to
-  /// resolve_batch over the equivalent dense mask, so differential tests
-  /// can drive every backend through either form.
-  virtual void resolve_batch_active(std::span<const ActiveTx> tx,
-                                    PayloadPlanes payload, int lanes,
-                                    BatchOutcome& out,
-                                    bool with_senders = true) = 0;
-
-  /// Fold variant of resolve_batch_active (see resolve_batch_max).
-  virtual void resolve_batch_max_active(std::span<const ActiveTx> tx,
-                                        PayloadPlanes payload, int lanes,
-                                        KnowledgePlanes best,
-                                        BatchOutcome& out) = 0;
+                             KnowledgePlanes best, BatchOutcome& out) = 0;
 
  protected:
   /// Monotonic nanosecond clock for the phase timers.

@@ -45,6 +45,9 @@ BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model,
   touched_.reserve(n);
   active_mask_.assign(n, 0);
   payload1_.assign(n, kNoPayload);
+  ids_.resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) ids_[v] = v;
+  sender_of_.assign(n, kNoPayload);
 
   int workers = threads == 0 ? default_threads() : std::max(1, threads);
   workers = std::min<int>(workers, std::max<graph::NodeId>(1, n));
@@ -145,7 +148,7 @@ void BitsliceMedium::gather_range(graph::NodeId lo, graph::NodeId hi,
         const std::uint64_t hit = left & tx_mask[u];
         if (hit == 0) continue;
         left &= ~hit;
-        sink(*p.out, v, u, hit);
+        sink(v, u, hit);
         if (left == 0) break;
       }
     }
@@ -181,21 +184,18 @@ void BitsliceMedium::rowscan_recover(std::span<const std::uint64_t> tx_mask,
       const std::uint64_t hit = win & tx_mask[u];
       if (hit == 0) continue;
       win &= ~hit;
-      sink(out, dm.node, u, hit);
+      sink(dm.node, u, hit);
       if (win == 0) break;
     }
   }
 }
 
 template <class Sink>
-void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
-                              std::uint64_t lane_mask, int lanes,
+void BitsliceMedium::run_core(std::uint64_t lane_mask, int lanes,
                               std::uint64_t work, BatchOutcome& out,
-                              Recover recover, bool from_list, Sink&& sink) {
+                              Recover recover, Sink&& sink) {
   const graph::NodeId n = graph_->node_count();
-  std::uint64_t& traverse_ns =
-      from_list ? timers_.enqueue_ns : timers_.traverse_ns;
-  std::uint64_t& output_ns = from_list ? timers_.drain_ns : timers_.output_ns;
+  const std::span<const std::uint64_t> tx_mask = active_mask_;
   const obs::TraceSpan trace_span("bitslice.round", "lanes",
                                   static_cast<std::uint64_t>(lanes), "work",
                                   work);
@@ -234,8 +234,6 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
       for (const Slice& s : slices_) {
         out.delivered.insert(out.delivered.end(), s.buf.delivered.begin(),
                              s.buf.delivered.end());
-        out.deliveries.insert(out.deliveries.end(), s.buf.deliveries.begin(),
-                              s.buf.deliveries.end());
         out.collisions.insert(out.collisions.end(), s.buf.collisions.begin(),
                               s.buf.collisions.end());
         main_.active += s.part.active;
@@ -243,7 +241,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
         s.part.collided_tally.add_to(out.collided_count, lanes);
       }
     }
-    traverse_ns += now_ns() - t0;
+    timers_.traverse_ns += now_ns() - t0;
   } else {
     // Scatter: bitwise saturating add into the per-listener blocks. Planes
     // are all-zero between rounds, so "one == 0" doubles as the untouched
@@ -256,7 +254,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
       scatter_accumulate<false>(tx_mask, lane_mask);
     }
     const std::uint64_t t1 = now_ns();
-    traverse_ns += t1 - t0;
+    timers_.traverse_ns += t1 - t0;
 
     // Output scan, with the re-zeroing (the next round's invariant) fused
     // into the same sweep.
@@ -273,7 +271,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
     } else {
       for (const graph::NodeId v : touched_) output_block(v);
     }
-    output_ns += now_ns() - t1;
+    timers_.output_ns += now_ns() - t1;
   }
 
   out.active_listeners = main_.active;
@@ -283,7 +281,7 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
   const std::uint64_t t2 = now_ns();
 
   if (recover == Recover::kScanDeferred) rowscan_recover(tx_mask, out, sink);
-  if (recover != Recover::kNone) {
+  if (recover != Recover::kConstFold) {
     ++timers_.rowscan_rounds;
     timers_.recover_ns += now_ns() - t2;
   }
@@ -293,8 +291,9 @@ void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
   ++timers_.rounds;
 }
 
-void BitsliceMedium::validate(PayloadPlanes payload, int lanes, FoldMode mode,
-                              KnowledgePlanes best) const {
+void BitsliceMedium::resolve_lanes(std::span<const ActiveTx> tx,
+                                   PayloadPlanes payload, int lanes,
+                                   KnowledgePlanes best, BatchOutcome& out) {
   const graph::NodeId n = graph_->node_count();
   if (payload.plane_size() != n) {
     throw std::invalid_argument("BitsliceMedium: size mismatch");
@@ -302,36 +301,9 @@ void BitsliceMedium::validate(PayloadPlanes payload, int lanes, FoldMode mode,
   if (lanes < 1 || lanes > kMaxLanes || lanes > payload.lane_capacity()) {
     throw std::invalid_argument("BitsliceMedium: lanes out of range");
   }
-  if (mode == FoldMode::kMaxFold &&
-      (best.plane_size() < n || lanes > best.lane_capacity())) {
+  if (best.plane_size() < n || lanes > best.lane_capacity()) {
     throw std::invalid_argument("BitsliceMedium: best too small");
   }
-}
-
-void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
-                               PayloadPlanes payload, int lanes,
-                               BatchOutcome& out, FoldMode mode,
-                               KnowledgePlanes best) {
-  const graph::NodeId n = graph_->node_count();
-  if (tx_mask.size() != n) {
-    throw std::invalid_argument("BitsliceMedium: size mismatch");
-  }
-  validate(payload, lanes, mode, best);
-  const std::uint64_t lane_mask = radio::lane_mask(lanes);
-  const std::uint64_t t0 = now_ns();
-  txlist_.clear();
-  for (graph::NodeId u = 0; u < n; ++u) {
-    if ((tx_mask[u] & lane_mask) != 0) txlist_.push_back(u);
-  }
-  run_round(tx_mask, payload, lanes, out, mode, best, /*from_list=*/false, t0);
-}
-
-void BitsliceMedium::run_active(std::span<const ActiveTx> tx,
-                                PayloadPlanes payload, int lanes,
-                                BatchOutcome& out, FoldMode mode,
-                                KnowledgePlanes best) {
-  validate(payload, lanes, mode, best);
-  const graph::NodeId n = graph_->node_count();
   const std::uint64_t lane_mask = radio::lane_mask(lanes);
   const std::uint64_t t0 = now_ns();
   // Stage the list into active_mask_ (all zero between rounds), collecting
@@ -353,8 +325,7 @@ void BitsliceMedium::run_active(std::span<const ActiveTx> tx,
     word |= m;
   }
   try {
-    run_round(active_mask_, payload, lanes, out, mode, best,
-              /*from_list=*/true, t0);
+    run_round(payload, lanes, best, out, t0);
   } catch (...) {
     unstage();
     throw;
@@ -362,10 +333,8 @@ void BitsliceMedium::run_active(std::span<const ActiveTx> tx,
   unstage();
 }
 
-void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
-                               PayloadPlanes payload, int lanes,
-                               BatchOutcome& out, FoldMode mode,
-                               KnowledgePlanes best, bool from_list,
+void BitsliceMedium::run_round(PayloadPlanes payload, int lanes,
+                               KnowledgePlanes best, BatchOutcome& out,
                                std::uint64_t t0) {
   const std::uint64_t lane_mask = radio::lane_mask(lanes);
   out.clear();
@@ -373,16 +342,16 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
 
   // Prologue over the collected transmitters: per-lane tallies and the
   // traversal-volume estimate that picks the scatter/gather shape and the
-  // recovery path. For a lane-invariant max-fold it also checks whether
-  // every transmitter carries one payload value — a fixed-value relay
-  // (flood) folds with no sender identification at all.
+  // recovery path. For a lane-invariant plane it also checks whether every
+  // transmitter carries one payload value — a fixed-value relay (flood)
+  // folds with no sender identification at all.
   std::uint64_t work = 0;
-  bool const_plane = mode == FoldMode::kMaxFold && payload.lane_invariant() &&
-                     recovery_ == RecoveryStrategy::kAuto;
+  bool const_plane =
+      payload.lane_invariant() && recovery_ == RecoveryStrategy::kAuto;
   Payload const_value = kNoPayload;
   bool const_seen = false;
   for (const graph::NodeId u : txlist_) {
-    tx_tally_.add(tx_mask[u] & lane_mask);
+    tx_tally_.add(active_mask_[u]);
     work += graph_->degree(u);
     if (const_plane) {
       const Payload p = payload.at(0, u);
@@ -395,124 +364,59 @@ void BitsliceMedium::run_round(std::span<const std::uint64_t> tx_mask,
     }
   }
   tx_tally_.add_to(out.transmitter_count, lanes);
-  (from_list ? timers_.enqueue_ns : timers_.traverse_ns) += now_ns() - t0;
+  timers_.traverse_ns += now_ns() - t0;
 
   const bool gather = work >= graph_->edge_count();
-  const Recover recover = mode == FoldMode::kMasksOnly ? Recover::kNone
-                          : const_plane ? Recover::kConstFold
-                                        : choose_recovery(gather);
-  auto no_sink = [](BatchOutcome&, graph::NodeId, graph::NodeId,
-                    std::uint64_t) {};
+  const Recover recover =
+      const_plane ? Recover::kConstFold : choose_recovery(gather);
 
-  if (recover == Recover::kConstFold) {
-    run_core(tx_mask, lane_mask, lanes, work, out, Recover::kNone, from_list,
-             no_sink);
-    const std::uint64_t tr = now_ns();
-    const std::size_t bls = best.lane_stride();
-    for (const auto& dm : out.delivered) {
-      Payload* const brow = best.row(dm.node);
-      std::uint64_t hit = dm.lanes;
-      do {
-        const int lane = std::countr_zero(hit);
-        Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-        if (b == kNoPayload || const_value > b) b = const_value;
-        hit &= hit - 1;
-      } while (hit != 0);
-    }
-    ++timers_.constfold_rounds;
-    timers_.recover_ns += now_ns() - tr;
-    return;
-  }
-
-  // Sinks take one (destination, listener, sender, lane mask) group per
-  // call; for lane-invariant payload planes the sender's payload is read
-  // once per group instead of once per delivered lane. Pooled gather
-  // slices call them concurrently: each writes only its own destination
-  // and its own listeners' best[] runs.
+  // The sink takes one (listener, sender, lane mask) group per call; for
+  // lane-invariant payload planes the sender's payload is read once per
+  // group instead of once per delivered lane. Pooled gather slices call it
+  // concurrently: each writes only its own listeners' best[] runs.
   const bool invariant = payload.lane_invariant();
-  if (mode == FoldMode::kSenders) {
-    run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
-             [&](BatchOutcome& dst, const graph::NodeId v,
-                 const graph::NodeId u, std::uint64_t hit) {
-               if (invariant) {
-                 const Payload p = payload.at(0, u);
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   dst.deliveries.push_back(
-                       {v, static_cast<std::uint8_t>(lane), u, p});
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               } else {
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   dst.deliveries.push_back({v,
-                                             static_cast<std::uint8_t>(lane),
-                                             u, payload.at(lane, u)});
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               }
-             });
-  } else if (mode == FoldMode::kMaxFold) {
-    const std::size_t bls = best.lane_stride();
-    const std::size_t pls = payload.lane_stride();
-    run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
-             [&](BatchOutcome&, const graph::NodeId v, const graph::NodeId u,
-                 std::uint64_t hit) {
-               Payload* const brow = best.row(v);
-               if (invariant) {
-                 const Payload p = payload.at(0, u);
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-                   if (b == kNoPayload || p > b) b = p;
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               } else {
-                 const Payload* const prow = payload.row(u);
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-                   const Payload p = prow[static_cast<std::size_t>(lane) * pls];
-                   if (b == kNoPayload || p > b) b = p;
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               }
-             });
-  } else {
-    run_core(tx_mask, lane_mask, lanes, work, out, recover, from_list,
-             no_sink);
+  const std::size_t bls = best.lane_stride();
+  const std::size_t pls = payload.lane_stride();
+  run_core(lane_mask, lanes, work, out, recover,
+           [&](const graph::NodeId v, const graph::NodeId u,
+               std::uint64_t hit) {
+             Payload* const brow = best.row(v);
+             if (invariant) {
+               const Payload p = payload.at(0, u);
+               do {
+                 const int lane = std::countr_zero(hit);
+                 Payload& b = brow[static_cast<std::size_t>(lane) * bls];
+                 if (b == kNoPayload || p > b) b = p;
+                 hit &= hit - 1;
+               } while (hit != 0);
+             } else {
+               const Payload* const prow = payload.row(u);
+               do {
+                 const int lane = std::countr_zero(hit);
+                 Payload& b = brow[static_cast<std::size_t>(lane) * bls];
+                 const Payload p = prow[static_cast<std::size_t>(lane) * pls];
+                 if (b == kNoPayload || p > b) b = p;
+                 hit &= hit - 1;
+               } while (hit != 0);
+             }
+           });
+  if (recover != Recover::kConstFold) return;
+
+  const std::uint64_t tr = now_ns();
+  for (const auto& dm : out.delivered) {
+    Payload* const brow = best.row(dm.node);
+    // On a shared plane (lane stride 0) every lane folds into the same
+    // word, so the lowest delivered lane stands for all of them.
+    std::uint64_t hit = bls == 0 ? dm.lanes & (~dm.lanes + 1) : dm.lanes;
+    do {
+      const int lane = std::countr_zero(hit);
+      Payload& b = brow[static_cast<std::size_t>(lane) * bls];
+      if (b == kNoPayload || const_value > b) b = const_value;
+      hit &= hit - 1;
+    } while (hit != 0);
   }
-}
-
-void BitsliceMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
-                                   PayloadPlanes payload, int lanes,
-                                   BatchOutcome& out, bool with_senders) {
-  run_batch(tx_mask, payload, lanes, out,
-            with_senders ? FoldMode::kSenders : FoldMode::kMasksOnly,
-            KnowledgePlanes(std::span<Payload>{}));
-}
-
-void BitsliceMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                                       PayloadPlanes payload, int lanes,
-                                       KnowledgePlanes best,
-                                       BatchOutcome& out) {
-  run_batch(tx_mask, payload, lanes, out, FoldMode::kMaxFold, best);
-}
-
-void BitsliceMedium::resolve_batch_active(std::span<const ActiveTx> tx,
-                                          PayloadPlanes payload, int lanes,
-                                          BatchOutcome& out,
-                                          bool with_senders) {
-  run_active(tx, payload, lanes, out,
-             with_senders ? FoldMode::kSenders : FoldMode::kMasksOnly,
-             KnowledgePlanes(std::span<Payload>{}));
-}
-
-void BitsliceMedium::resolve_batch_max_active(std::span<const ActiveTx> tx,
-                                              PayloadPlanes payload, int lanes,
-                                              KnowledgePlanes best,
-                                              BatchOutcome& out) {
-  run_active(tx, payload, lanes, out, FoldMode::kMaxFold, best);
+  ++timers_.constfold_rounds;
+  timers_.recover_ns += now_ns() - tr;
 }
 
 void BitsliceMedium::resolve(std::span<const graph::NodeId> transmitters,
@@ -533,16 +437,23 @@ void BitsliceMedium::resolve(std::span<const graph::NodeId> transmitters,
     payload1_[u] = tx_payload[i];
     active1_[i] = {u, 1};
   }
-  run_active(active1_, std::span<const Payload>(payload1_), 1, batch_out_,
-             FoldMode::kSenders, KnowledgePlanes(std::span<Payload>{}));
+  // Node-major, not shared: the id plane must never const-fold, so the
+  // round recovers (and counts) exactly as a sender-recovering round does.
+  resolve_lanes(active1_, PayloadPlanes::node_major(ids_, n), 1,
+                KnowledgePlanes::node_major(sender_of_, n), batch_out_);
 
+  // One lane: each delivered listener had exactly one sender, whose id the
+  // fold left in sender_of_.
   out.deliveries.clear();
   out.collided_nodes.clear();
   out.transmitter_count = batch_out_.transmitter_count[0];
   out.collided_count = batch_out_.collided_count[0];
   out.active_listeners = batch_out_.active_listeners;
-  for (const auto& d : batch_out_.deliveries) {
-    out.deliveries.push_back({d.node, d.from, d.payload});
+  for (const auto& dm : batch_out_.delivered) {
+    Payload& sender = sender_of_[dm.node];
+    const auto from = static_cast<graph::NodeId>(sender);
+    out.deliveries.push_back({dm.node, from, payload1_[from]});
+    sender = kNoPayload;
   }
   for (const auto& c : batch_out_.collisions) {
     out.collided_nodes.push_back(c.node);

@@ -21,11 +21,12 @@
 // byte-identical for any worker or slice count. The serial run is the
 // same pass over one slice [0, n) writing straight into the outcome.
 //
-// A round enters either as an n-word transmit mask (resolve_batch*) or as
-// a sparse ActiveTx list (resolve_batch*_active, and resolve() with one
-// lane). The list form builds the prologue from the list itself and
-// stages the mask in lazily-cleared scratch, so a sparse-tail round costs
-// O(active work) with no 0..n scan; from there both forms run one kernel.
+// Every round enters as an ActiveTx list and leaves as a max-fold into
+// knowledge planes (resolve_lanes). The prologue walks the list itself and
+// stages the transmit masks in lazily-cleared scratch, so a sparse-tail
+// round costs O(active work) with no 0..n scan. resolve() is the same
+// round with one lane: it folds a plane of sender ids, then reads each
+// delivery's sender and payload off it in delivered order.
 #pragma once
 
 #include <cstdint>
@@ -56,58 +57,34 @@ class BitsliceMedium final : public Medium {
   /// Slices a gather round is cut into (1 when serial).
   int slice_count() const;
 
-  /// Single-instance rounds run through the sparse-list path with one
-  /// lane, so the facade and the batch entry points share one kernel.
+  /// Single-instance rounds: one resolve_lanes lane over a plane of
+  /// sender ids, so the facade and the batch entry share one kernel.
   void resolve(std::span<const graph::NodeId> transmitters,
                std::span<const Payload> tx_payload,
                SparseOutcome& out) override;
 
-  void resolve_batch(std::span<const std::uint64_t> tx_mask,
-                     PayloadPlanes payload, int lanes, BatchOutcome& out,
-                     bool with_senders = true) override;
-
-  /// Fold path: every recovered (listener, lane, sender) max-combines the
-  /// sender's payload straight into the best knowledge planes (any
-  /// KnowledgePlanes layout; node-major keeps each listener's folded lane
-  /// words in one cache-line run) — no per-delivery records at all.
-  void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                         PayloadPlanes payload, int lanes,
-                         KnowledgePlanes best, BatchOutcome& out) override;
-
-  /// Sparse-list entry points: the prologue is built from the list (no
-  /// 0..n mask scan), so a round costs O(active work); the traversal,
-  /// recovery and const-fold are the dense entry points' own. These rounds
-  /// report their traversal in enqueue_ns and output scan in drain_ns.
-  void resolve_batch_active(std::span<const ActiveTx> tx,
-                            PayloadPlanes payload, int lanes, BatchOutcome& out,
-                            bool with_senders = true) override;
-  void resolve_batch_max_active(std::span<const ActiveTx> tx,
-                                PayloadPlanes payload, int lanes,
-                                KnowledgePlanes best,
-                                BatchOutcome& out) override;
+  /// Every recovered (listener, lane, sender) max-combines the sender's
+  /// payload straight into the best knowledge planes (any KnowledgePlanes
+  /// layout; node-major keeps each listener's folded lane words in one
+  /// cache-line run) — no per-delivery records at all.
+  void resolve_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
+                     int lanes, KnowledgePlanes best,
+                     BatchOutcome& out) override;
 
  private:
-  /// What run_batch does with each recovered delivery.
-  enum class FoldMode : std::uint8_t { kMasksOnly, kSenders, kMaxFold };
-
   /// How this round identifies senders:
-  ///   kNone          — mask-only round, nothing to recover
   ///   kScanDeferred  — row scan over out.delivered after the traversal
   ///                    (kAuto's scatter choice; RecoveryStrategy::kRowScan
   ///                    pins it on every round)
   ///   kScanFused     — gather only: re-walk the row at emit time (kAuto's
   ///                    gather choice: the row and transmit masks were read
   ///                    one loop iteration ago)
-  ///   kConstFold     — max-fold only: the prologue proved every
-  ///                    transmitter carries the same payload value, so the
-  ///                    fold needs no sender identity at all (run_round
-  ///                    handles it; run_core never sees this value)
-  enum class Recover : std::uint8_t {
-    kNone,
-    kScanDeferred,
-    kScanFused,
-    kConstFold
-  };
+  ///   kConstFold     — the prologue proved every transmitter carries
+  ///                    the same payload value, so the fold needs no
+  ///                    sender identity at all: run_core recovers nothing
+  ///                    and run_round folds that value over the delivered
+  ///                    masks
+  enum class Recover : std::uint8_t { kScanDeferred, kScanFused, kConstFold };
 
   /// Where one traversal's listener output lands: `out` itself and the
   /// medium's own tallies on serial passes, a slice's private buffers on
@@ -136,36 +113,19 @@ class BitsliceMedium final : public Medium {
     Part part;
   };
 
-  /// Throws unless the payload view, lane count and (for a max-fold) the
-  /// knowledge planes fit this graph.
-  void validate(PayloadPlanes payload, int lanes, FoldMode mode,
-                KnowledgePlanes best) const;
-  /// Dense entry: collects txlist_ by scanning tx_mask, then run_round.
-  void run_batch(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
-                 int lanes, BatchOutcome& out, FoldMode mode,
-                 KnowledgePlanes best);
-  /// Sparse entry: ORs each entry's live lanes into active_mask_ and
-  /// collects txlist_ (unique nodes, first-appearance order), runs
-  /// run_round over that mask, and re-zeroes it — also when an
-  /// out-of-range entry or the round throws.
-  void run_active(std::span<const ActiveTx> tx, PayloadPlanes payload,
-                  int lanes, BatchOutcome& out, FoldMode mode,
-                  KnowledgePlanes best);
-  /// One round over the transmitters in txlist_: prologue (tallies,
-  /// traversal volume, const-plane check), recovery choice, run_core with
-  /// the mode's sink. `t0` is when the round's transmitter collection
-  /// began; `from_list` routes the phase time to enqueue_ns/drain_ns.
-  void run_round(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
-                 int lanes, BatchOutcome& out, FoldMode mode,
-                 KnowledgePlanes best, bool from_list, std::uint64_t t0);
-  /// Traversal + output + recovery. Sinks take (destination outcome,
-  /// listener, sender, lane mask) — one call per sender group, so sinks
-  /// hoist per-sender work (the payload read, for lane-invariant planes)
-  /// out of the per-lane loop.
+  /// One round over the transmitters in txlist_ (masks staged in
+  /// active_mask_): prologue (tallies, traversal volume, const-plane
+  /// check), recovery choice, run_core with the max-fold sink. `t0` is
+  /// when the round's list walk began.
+  void run_round(PayloadPlanes payload, int lanes, KnowledgePlanes best,
+                 BatchOutcome& out, std::uint64_t t0);
+  /// Traversal + output + recovery. Sinks take (listener, sender, lane
+  /// mask) — one call per sender group, so sinks hoist per-sender work
+  /// (the payload read, for lane-invariant planes) out of the per-lane
+  /// loop.
   template <class Sink>
-  void run_core(std::span<const std::uint64_t> tx_mask, std::uint64_t lane_mask,
-                int lanes, std::uint64_t work, BatchOutcome& out,
-                Recover recover, bool from_list, Sink&& sink);
+  void run_core(std::uint64_t lane_mask, int lanes, std::uint64_t work,
+                BatchOutcome& out, Recover recover, Sink&& sink);
   /// Applies the RecoveryStrategy knob to this round's traversal shape.
   Recover choose_recovery(bool gather) const;
 
@@ -211,15 +171,20 @@ class BitsliceMedium final : public Medium {
   std::unique_ptr<StealPool> pool_;
   std::vector<Slice> slices_;
 
-  // Sparse-list transmit mask (node_count words): all zero between
-  // rounds; run_active fills it from the list and re-zeroes txlist_.
+  // The round's transmit masks, staged from its list (node_count words):
+  // all zero between rounds; resolve_lanes fills it and re-zeroes exactly
+  // the txlist_ entries.
   std::vector<std::uint64_t> active_mask_;
 
-  // Scratch for the single-instance resolve() facade: its one-lane list
-  // and a per-node payload plane (only this round's transmitters' entries
-  // are ever read, so stale entries need no clearing).
+  // Scratch for the single-instance resolve() facade: its one-lane list, a
+  // per-node payload plane (only this round's transmitters' entries are
+  // ever read, so stale entries need no clearing), the sender-id plane
+  // (ids_[v] == v) it folds, and the one-lane fold target (all kNoPayload
+  // between calls; each round resets the entries it delivered to).
   std::vector<ActiveTx> active1_;
   std::vector<Payload> payload1_;
+  std::vector<Payload> ids_;
+  std::vector<Payload> sender_of_;
   BatchOutcome batch_out_;
 };
 

@@ -133,23 +133,9 @@ void ScalarMedium::resolve_dense(SparseOutcome& out) {
   }
 }
 
-std::span<const ActiveTx> ScalarMedium::list_of(
-    std::span<const std::uint64_t> tx_mask) {
-  const graph::NodeId n = graph_->node_count();
-  if (tx_mask.size() != n) {
-    throw std::invalid_argument("ScalarMedium: size mismatch");
-  }
-  mask_tx_.clear();
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (tx_mask[v] != 0) mask_tx_.push_back({v, tx_mask[v]});
-  }
-  return mask_tx_;
-}
-
 void ScalarMedium::resolve_lanes(std::span<const ActiveTx> tx,
                                  PayloadPlanes payload, int lanes,
-                                 BatchOutcome& out, bool with_senders,
-                                 const KnowledgePlanes* best) {
+                                 KnowledgePlanes best, BatchOutcome& out) {
   const graph::NodeId n = graph_->node_count();
   if (payload.plane_size() != n) {
     throw std::invalid_argument("ScalarMedium: size mismatch");
@@ -157,8 +143,7 @@ void ScalarMedium::resolve_lanes(std::span<const ActiveTx> tx,
   if (lanes < 1 || lanes > kMaxLanes || lanes > payload.lane_capacity()) {
     throw std::invalid_argument("ScalarMedium: lanes out of range");
   }
-  if (best != nullptr &&
-      (best->plane_size() < n || lanes > best->lane_capacity())) {
+  if (best.plane_size() < n || lanes > best.lane_capacity()) {
     throw std::invalid_argument("ScalarMedium: best too small");
   }
   for (const ActiveTx& e : tx) {
@@ -186,13 +171,8 @@ void ScalarMedium::resolve_lanes(std::span<const ActiveTx> tx,
     for (const auto& d : lane_out_.deliveries) {
       if (agg_mask_[d.node] == 0) agg_touched_.push_back(d.node);
       agg_mask_[d.node] |= bit;
-      if (best != nullptr) {
-        Payload& b = best->at(l, d.node);
-        if (b == kNoPayload || d.payload > b) b = d.payload;
-      } else if (with_senders) {
-        out.deliveries.push_back(
-            {d.node, static_cast<std::uint8_t>(l), d.from, d.payload});
-      }
+      Payload& b = best.at(l, d.node);
+      if (b == kNoPayload || d.payload > b) b = d.payload;
     }
     for (const graph::NodeId v : lane_out_.collided_nodes) {
       out.collisions.push_back({v, bit});
@@ -202,31 +182,6 @@ void ScalarMedium::resolve_lanes(std::span<const ActiveTx> tx,
     out.delivered.push_back({v, agg_mask_[v]});
     agg_mask_[v] = 0;
   }
-}
-
-void ScalarMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
-                                 PayloadPlanes payload, int lanes,
-                                 BatchOutcome& out, bool with_senders) {
-  resolve_lanes(list_of(tx_mask), payload, lanes, out, with_senders, nullptr);
-}
-
-void ScalarMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                                     PayloadPlanes payload, int lanes,
-                                     KnowledgePlanes best, BatchOutcome& out) {
-  resolve_lanes(list_of(tx_mask), payload, lanes, out, false, &best);
-}
-
-void ScalarMedium::resolve_batch_active(std::span<const ActiveTx> tx,
-                                        PayloadPlanes payload, int lanes,
-                                        BatchOutcome& out, bool with_senders) {
-  resolve_lanes(tx, payload, lanes, out, with_senders, nullptr);
-}
-
-void ScalarMedium::resolve_batch_max_active(std::span<const ActiveTx> tx,
-                                            PayloadPlanes payload, int lanes,
-                                            KnowledgePlanes best,
-                                            BatchOutcome& out) {
-  resolve_lanes(tx, payload, lanes, out, false, &best);
 }
 
 }  // namespace radiocast::radio

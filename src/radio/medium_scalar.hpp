@@ -12,10 +12,10 @@
 // Both paths emit deliveries in identical first-touch order, so seeded
 // protocol trajectories do not depend on which path was taken.
 //
-// The batch entry points decompose into one resolve() per lane over an
-// ActiveTx list (a mask round is converted to its list first), then OR the
-// per-lane deliveries into aggregate masks — the per-lane reference every
-// batch kernel is differentially tested against.
+// resolve_lanes() decomposes into one resolve() per lane over the
+// ActiveTx list, max-folds each lane's deliveries into its knowledge plane
+// and ORs them into aggregate masks — the per-lane reference every batch
+// kernel is differentially tested against.
 #pragma once
 
 #include <cstdint>
@@ -36,32 +36,14 @@ class ScalarMedium final : public Medium {
                std::span<const Payload> tx_payload,
                SparseOutcome& out) override;
 
-  void resolve_batch(std::span<const std::uint64_t> tx_mask,
-                     PayloadPlanes payload, int lanes, BatchOutcome& out,
-                     bool with_senders = true) override;
-  void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                         PayloadPlanes payload, int lanes,
-                         KnowledgePlanes best, BatchOutcome& out) override;
-  void resolve_batch_active(std::span<const ActiveTx> tx,
-                            PayloadPlanes payload, int lanes, BatchOutcome& out,
-                            bool with_senders = true) override;
-  void resolve_batch_max_active(std::span<const ActiveTx> tx,
-                                PayloadPlanes payload, int lanes,
-                                KnowledgePlanes best,
-                                BatchOutcome& out) override;
+  /// Per lane, resolve() over the list entries transmitting in it, then
+  /// fold and aggregate. Every entry is range-checked before any state
+  /// changes, so a throw leaves the medium as it was.
+  void resolve_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
+                     int lanes, KnowledgePlanes best,
+                     BatchOutcome& out) override;
 
  private:
-  /// The batch entry points' one body: per lane, resolve() over the list
-  /// entries transmitting in it, then aggregate. With a `best` view each
-  /// delivery max-folds into it instead of being recorded. Every entry is
-  /// range-checked before any state changes, so a throw leaves the medium
-  /// as it was.
-  void resolve_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
-                     int lanes, BatchOutcome& out, bool with_senders,
-                     const KnowledgePlanes* best);
-  /// Mask entry: the mask's transmitters as a list, in node order.
-  std::span<const ActiveTx> list_of(std::span<const std::uint64_t> tx_mask);
-
   void resolve_frontier(SparseOutcome& out);
   void resolve_dense(SparseOutcome& out);
 
@@ -81,11 +63,9 @@ class ScalarMedium final : public Medium {
   // Dense-path scratch: plain counters, cleared every dense round.
   std::vector<std::uint32_t> dense_count_;
 
-  // Batch decomposition scratch: the mask round's list, one lane's
-  // transmitters and outcome, and per-listener won-lane masks (all zero
-  // between calls; agg_touched_ lists the nonzero ones in first-delivery
-  // order).
-  std::vector<ActiveTx> mask_tx_;
+  // Batch decomposition scratch: one lane's transmitters and outcome, and
+  // per-listener won-lane masks (all zero between calls; agg_touched_ lists
+  // the nonzero ones in first-delivery order).
   std::vector<graph::NodeId> lane_tx_;
   std::vector<Payload> lane_payload_;
   SparseOutcome lane_out_;

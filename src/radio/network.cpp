@@ -61,39 +61,22 @@ RoundOutcome Network::step(const std::vector<std::uint8_t>& transmit,
   return out;
 }
 
-void Network::step_lanes(std::span<const std::uint64_t> tx_mask,
-                         PayloadPlanes payload, BatchOutcome& out,
-                         bool with_senders) {
+void Network::step_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
+                         int lanes, KnowledgePlanes best, BatchOutcome& out) {
   const graph::NodeId n = graph_->node_count();
-  if (tx_mask.size() != n || payload.plane_size() != n ||
-      payload.lane_capacity() < 1) {
+  if (lanes != 1) {
+    throw std::invalid_argument("Network::step_lanes: lanes must be 1");
+  }
+  if (payload.plane_size() != n || payload.lane_capacity() < 1 ||
+      best.plane_size() < n || best.lane_capacity() < 1) {
     throw std::invalid_argument("Network::step_lanes: size mismatch");
-  }
-  tx_nodes_.clear();
-  tx_payload_.clear();
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (tx_mask[v] & 1) {
-      tx_nodes_.push_back(v);
-      tx_payload_.push_back(payload.at(0, v));
-    }
-  }
-  resolve(tx_nodes_, tx_payload_, sparse_scratch_);
-  emit_batch(out, with_senders);
-}
-
-void Network::step_lanes_active(std::span<const ActiveTx> tx,
-                                PayloadPlanes payload, BatchOutcome& out,
-                                bool with_senders) {
-  const graph::NodeId n = graph_->node_count();
-  if (payload.plane_size() != n || payload.lane_capacity() < 1) {
-    throw std::invalid_argument("Network::step_lanes_active: size mismatch");
   }
   tx_nodes_.clear();
   tx_payload_.clear();
   for (const ActiveTx& e : tx) {
     if (e.node >= n) {
       throw std::invalid_argument(
-          "Network::step_lanes_active: transmitter out of range");
+          "Network::step_lanes: transmitter out of range");
     }
     if (e.lanes & 1) {
       tx_nodes_.push_back(e.node);
@@ -101,10 +84,7 @@ void Network::step_lanes_active(std::span<const ActiveTx> tx,
     }
   }
   resolve(tx_nodes_, tx_payload_, sparse_scratch_);
-  emit_batch(out, with_senders);
-}
 
-void Network::emit_batch(BatchOutcome& out, bool with_senders) {
   out.clear();
   out.transmitter_count[0] = sparse_scratch_.transmitter_count;
   out.delivered_count[0] =
@@ -113,40 +93,11 @@ void Network::emit_batch(BatchOutcome& out, bool with_senders) {
   out.active_listeners = sparse_scratch_.active_listeners;
   for (const auto& d : sparse_scratch_.deliveries) {
     out.delivered.push_back({d.node, 1});
-    if (with_senders) out.deliveries.push_back({d.node, 0, d.from, d.payload});
+    Payload& b = best.at(0, d.node);
+    if (b == kNoPayload || d.payload > b) b = d.payload;
   }
   for (const graph::NodeId v : sparse_scratch_.collided_nodes) {
     out.collisions.push_back({v, 1});
-  }
-}
-
-void Network::step_lanes_max(std::span<const std::uint64_t> tx_mask,
-                             PayloadPlanes payload, KnowledgePlanes best,
-                             BatchOutcome& out) {
-  const graph::NodeId n = graph_->node_count();
-  if (best.plane_size() < n || best.lane_capacity() < 1) {
-    throw std::invalid_argument("Network::step_lanes_max: best too small");
-  }
-  step_lanes(tx_mask, payload, out, /*with_senders=*/false);
-  // One lane: fold straight from the sparse deliveries of the round.
-  for (const auto& d : sparse_scratch_.deliveries) {
-    Payload& b = best.at(0, d.node);
-    if (b == kNoPayload || d.payload > b) b = d.payload;
-  }
-}
-
-void Network::step_lanes_max_active(std::span<const ActiveTx> tx,
-                                    PayloadPlanes payload,
-                                    KnowledgePlanes best, BatchOutcome& out) {
-  const graph::NodeId n = graph_->node_count();
-  if (best.plane_size() < n || best.lane_capacity() < 1) {
-    throw std::invalid_argument(
-        "Network::step_lanes_max_active: best too small");
-  }
-  step_lanes_active(tx, payload, out, /*with_senders=*/false);
-  for (const auto& d : sparse_scratch_.deliveries) {
-    Payload& b = best.at(0, d.node);
-    if (b == kNoPayload || d.payload > b) b = d.payload;
   }
 }
 

@@ -12,8 +12,8 @@
 //   step()    — dense per-node vectors in/out, for schedule-driven
 //               callers; a thin adapter over resolve()
 //
-// plus the one-lane LaneExecutor entry points (step_lanes*), also
-// adapters over resolve().
+// plus the one-lane LaneExecutor entry point (step_lanes), also an
+// adapter over resolve().
 //
 // A correctness bug in collision semantics would affect every experiment
 // identically — which is why the semantics are pinned by an exhaustive
@@ -87,30 +87,14 @@ class Network : public LaneExecutor {
   RoundOutcome step(const std::vector<std::uint8_t>& transmit,
                     const std::vector<Payload>& payload);
 
-  /// LaneExecutor entry point: bit 0 of tx_mask[v] (the only lane) says
-  /// whether v transmits; the round resolves through resolve() and is
-  /// reported in batch form (lane masks are all 1s). Cross-round counters
-  /// advance exactly as they do for the other entry points.
-  void step_lanes(std::span<const std::uint64_t> tx_mask,
-                  PayloadPlanes payload, BatchOutcome& out,
-                  bool with_senders = true) override;
-
-  /// Fold variant (see LaneExecutor): deliveries max-combine into
-  /// best.at(0, v) — one lane, so every KnowledgePlanes layout is
-  /// equivalent (vectors/spans adapt implicitly).
-  void step_lanes_max(std::span<const std::uint64_t> tx_mask,
-                      PayloadPlanes payload, KnowledgePlanes best,
-                      BatchOutcome& out) override;
-
-  /// Sparse variant (see LaneExecutor): entries with lane bit 0 set form
-  /// the round's transmitter list.
-  void step_lanes_active(std::span<const ActiveTx> tx, PayloadPlanes payload,
-                         BatchOutcome& out, bool with_senders = true) override;
-
-  /// Sparse fold variant (see LaneExecutor).
-  void step_lanes_max_active(std::span<const ActiveTx> tx,
-                             PayloadPlanes payload, KnowledgePlanes best,
-                             BatchOutcome& out) override;
+  /// LaneExecutor entry point (lanes must be 1): the entries with lane
+  /// bit 0 set form the round's transmitter list, resolved through
+  /// resolve() — so cross-round counters advance as for any other round —
+  /// and each delivery max-folds into best.at(0, v). One lane, so every
+  /// KnowledgePlanes layout is equivalent (vectors/spans adapt
+  /// implicitly).
+  void step_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
+                  int lanes, KnowledgePlanes best, BatchOutcome& out) override;
 
   Round rounds_elapsed() const { return rounds_; }
   std::uint64_t total_transmissions() const { return total_tx_; }
@@ -119,9 +103,6 @@ class Network : public LaneExecutor {
   void reset_counters();
 
  private:
-  /// Converts the round in sparse_scratch_ to batch form (single lane).
-  void emit_batch(BatchOutcome& out, bool with_senders);
-
   const graph::Graph* graph_;
   CollisionModel model_;
   MediumKind kind_;
@@ -131,7 +112,7 @@ class Network : public LaneExecutor {
   std::uint64_t total_delivered_ = 0;
   std::uint64_t total_collided_ = 0;
 
-  // step() adapter scratch: the dense vectors flattened to a tx list.
+  // step()/step_lanes() adapter scratch: the round as a tx list.
   std::vector<graph::NodeId> tx_nodes_;
   std::vector<Payload> tx_payload_;
   SparseOutcome sparse_scratch_;

@@ -55,10 +55,8 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
   const std::size_t blocks = (static_cast<std::size_t>(n) + 63) / 64;
 
   static thread_local std::vector<std::uint64_t> coin;
-  static thread_local std::vector<std::uint64_t> tx_mask;
   static thread_local std::vector<radio::ActiveTx> active;
   coin.resize(blocks * static_cast<std::size_t>(lanes));
-  tx_mask.resize(n);
   active.clear();
 
   // Per lane, per block: draw the coin words, block order, so the stream
@@ -71,11 +69,11 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
 
   if (lanes == 1) {
     for (graph::NodeId v = 0; v < n; ++v) {
-      tx_mask[v] = participates[v] & (coin[v >> 6] >> (v & 63)) & 1;
-      if (tx_mask[v] != 0) active.push_back({v, tx_mask[v]});
+      const std::uint64_t m = participates[v] & (coin[v >> 6] >> (v & 63)) & 1;
+      if (m != 0) active.push_back({v, m});
     }
   } else {
-    // Coin words are node-indexed per lane; the transmit mask is
+    // Coin words are node-indexed per lane; a transmitter's lane mask is
     // lane-indexed per node. Transpose 64 lanes x 64 nodes per block with
     // the shared anti-diagonal kernel (radio/simd.hpp): load row 63-l,
     // read row 63-(v-base) for the main-diagonal transpose for free.
@@ -90,32 +88,19 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
       }
       const graph::NodeId base = static_cast<graph::NodeId>(b << 6);
       const graph::NodeId hi = std::min<graph::NodeId>(n, base + 64);
-      if (any == 0) {  // deep steps: whole blocks of silent coins
-        for (graph::NodeId v = base; v < hi; ++v) tx_mask[v] = 0;
-        continue;
-      }
+      if (any == 0) continue;  // deep steps: whole blocks of silent coins
       radio::simd::transpose64(w);
       for (graph::NodeId v = base; v < hi; ++v) {
-        tx_mask[v] = participates[v] & w[static_cast<std::size_t>(63 - (v - base))];
-        if (tx_mask[v] != 0) active.push_back({v, tx_mask[v]});
+        const std::uint64_t m =
+            participates[v] & w[static_cast<std::size_t>(63 - (v - base))];
+        if (m != 0) active.push_back({v, m});
       }
     }
   }
 
-  // Deep Decay steps are sparse by construction (2^-step participation):
-  // when few nodes transmit, route through the sparse entry points so the
-  // bitslice backend resolves the step in O(active work). The dense-mask
-  // scan above already happened (the coin stream must stay a pure function
-  // of the draw history), so this only moves the medium-side cost; the
-  // active list is built in increasing node order and every backend's list
-  // entry matches its mask entry, so results are byte-identical either way.
-  const bool sparse =
-      static_cast<std::uint64_t>(active.size()) * 16 <= n;
-  if (sparse) {
-    net.step_lanes_max_active(active, payload_of, best, out);
-  } else {
-    net.step_lanes_max(tx_mask, payload_of, best, out);
-  }
+  // The transmitters go to the medium as a list in increasing node order,
+  // so a deep (sparse) step costs O(active work) on the bitslice backend.
+  net.step_lanes(active, payload_of, lanes, best, out);
   std::uint32_t delivered = 0;
   for (int l = 0; l < lanes; ++l) delivered += out.delivered_count[l];
   return delivered;

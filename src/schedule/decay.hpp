@@ -48,11 +48,10 @@ std::uint32_t decay_round_length(std::uint32_t n);
 /// `out` is caller-owned scratch holding the round's delivered masks and
 /// counters on return. lane_rng.size() selects the lane count; it must not
 /// exceed net.lanes(), and best must cover node_count nodes x that many
-/// lanes. Deliveries fold into `best` through the executor's step_lanes_max
-/// (no per-delivery records). Deep steps with few transmitters route through
-/// the sparse step_lanes_max_active entry point, so tail rounds cost
-/// O(active work) on the bitslice backend — outcomes are identical either
-/// way (the coin stream never depends on the path taken). Returns the
+/// lanes. The round's transmitters reach the executor's one entry point,
+/// step_lanes, as an ActiveTx list in node order, and deliveries fold into
+/// `best` there (no per-delivery records), so deep steps with few
+/// transmitters cost O(active work) on the bitslice backend. Returns the
 /// number of deliveries summed over lanes.
 std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
                                std::span<const std::uint64_t> participates,

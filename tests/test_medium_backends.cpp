@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "lane_deliveries.hpp"
 #include "radio/batch_network.hpp"
 #include "radio/medium_bitslice.hpp"
 #include "radio/network.hpp"
@@ -29,6 +30,10 @@ namespace {
 
 using graph::Graph;
 using graph::NodeId;
+using test_util::active_list;
+using test_util::by_listener;
+using test_util::lane_deliveries;
+using test_util::lane_masks;
 
 /// One medium under test: a backend plus its worker count.
 struct Backend {
@@ -220,64 +225,43 @@ TEST(MediumBackends, DuplicateTransmittersFirstPayloadWins) {
 }
 
 // Lane-by-lane: the bitslice batch kernel must agree with 64 independent
-// scalar rounds (scalar's per-lane decomposition of resolve_batch).
+// scalar rounds (scalar's per-lane decomposition of resolve_lanes) on every
+// (listener, lane, sender) triple, the delivered and collision masks and
+// the counters — and a constant-plane fold (no sender recovery) must
+// produce the same masks and counters.
 void check_batch(const Graph& g, CollisionModel model, int lanes,
                  double density, util::Rng& rng) {
   const NodeId n = g.node_count();
   std::vector<std::uint64_t> tx_mask(n, 0);
-  std::vector<Payload> payload(n);
   for (NodeId v = 0; v < n; ++v) {
-    payload[v] = 2000 + v;
     for (int l = 0; l < lanes; ++l) {
       if (rng.bernoulli(density)) tx_mask[v] |= std::uint64_t{1} << l;
     }
   }
+  const std::vector<ActiveTx> tx = active_list(tx_mask);
 
   auto scalar = make_medium(MediumKind::kScalar, g, model);
   BatchOutcome want;
-  scalar->resolve_batch(tx_mask, payload, lanes, want);
+  const auto want_records = by_listener(lane_deliveries(*scalar, tx, lanes, want));
 
   for (const Backend& backend : kBatchBackends) {
     auto medium = backend.make(g, model);
     const std::string kind = backend.name();
     BatchOutcome got;
-    medium->resolve_batch(tx_mask, payload, lanes, got);
+    const auto got_records = lane_deliveries(*medium, tx, lanes, got);
 
     EXPECT_EQ(got.transmitter_count, want.transmitter_count);
     EXPECT_EQ(got.delivered_count, want.delivered_count);
     EXPECT_EQ(got.collided_count, want.collided_count);
-
-    auto key = [](const BatchDelivery& d) {
-      return (static_cast<std::uint64_t>(d.node) << 8) | d.lane;
-    };
-    auto sort_deliveries = [&](std::vector<BatchDelivery> v) {
-      std::sort(v.begin(), v.end(),
-                [&](const BatchDelivery& a, const BatchDelivery& b) {
-                  return key(a) < key(b);
-                });
-      return v;
-    };
-    const auto a = sort_deliveries(want.deliveries);
-    const auto b = sort_deliveries(got.deliveries);
-    ASSERT_EQ(a.size(), b.size()) << kind;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].node, b[i].node);
-      EXPECT_EQ(a[i].lane, b[i].lane);
-      EXPECT_EQ(a[i].from, b[i].from);
-      EXPECT_EQ(a[i].payload, b[i].payload);
-    }
+    EXPECT_EQ(by_listener(got_records), want_records) << kind;
 
     // Collision records may be split differently across lanes; compare the
     // OR of the masks per node.
-    auto fold = [n](const std::vector<BatchCollision>& cs) {
-      std::vector<std::uint64_t> mask(n, 0);
-      for (const auto& c : cs) mask[c.node] |= c.lanes;
-      return mask;
-    };
-    EXPECT_EQ(fold(got.collisions), fold(want.collisions)) << kind;
+    EXPECT_EQ(lane_masks(got.collisions, n), lane_masks(want.collisions, n))
+        << kind;
 
     // The aggregate delivered masks must cover exactly the per-delivery
-    // list, and each listener must appear at most once.
+    // records, and each listener must appear at most once.
     auto fold_delivered = [n](const BatchOutcome& o) {
       std::vector<std::uint64_t> mask(n, 0);
       for (const auto& d : o.delivered) {
@@ -286,26 +270,28 @@ void check_batch(const Graph& g, CollisionModel model, int lanes,
       }
       return mask;
     };
-    auto fold_deliveries = [n](const BatchOutcome& o) {
-      std::vector<std::uint64_t> mask(n, 0);
-      for (const auto& d : o.deliveries) {
-        mask[d.node] |= std::uint64_t{1} << d.lane;
-      }
-      return mask;
-    };
+    std::vector<std::uint64_t> from_records(n, 0);
+    for (const auto& d : got_records) {
+      from_records[d.node] |= std::uint64_t{1} << d.lane;
+    }
     const auto got_masks = fold_delivered(got);
     EXPECT_EQ(got_masks, fold_delivered(want)) << kind;
-    EXPECT_EQ(got_masks, fold_deliveries(got)) << kind;
+    EXPECT_EQ(got_masks, from_records) << kind;
 
-    // Mask-only mode: identical masks and counters, no sender detail.
-    BatchOutcome masks_only;
-    medium->resolve_batch(tx_mask, payload, lanes, masks_only,
-                          /*with_senders=*/false);
-    EXPECT_TRUE(masks_only.deliveries.empty());
-    EXPECT_EQ(fold_delivered(masks_only), got_masks) << kind;
-    EXPECT_EQ(masks_only.delivered_count, got.delivered_count);
-    EXPECT_EQ(masks_only.transmitter_count, got.transmitter_count);
-    EXPECT_EQ(masks_only.collided_count, got.collided_count);
+    // Constant-plane fold: identical masks and counters, every delivered
+    // lane holding the constant.
+    const std::vector<Payload> constant(n, 42);
+    std::vector<Payload> best(static_cast<std::size_t>(lanes) * n, kNoPayload);
+    const KnowledgePlanes view = KnowledgePlanes::node_major(best, n);
+    BatchOutcome const_out;
+    medium->resolve_lanes(tx, constant, lanes, view, const_out);
+    EXPECT_EQ(fold_delivered(const_out), got_masks) << kind;
+    EXPECT_EQ(const_out.delivered_count, got.delivered_count);
+    EXPECT_EQ(const_out.transmitter_count, got.transmitter_count);
+    EXPECT_EQ(const_out.collided_count, got.collided_count);
+    for (const auto& d : got_records) {
+      EXPECT_EQ(view.at(d.lane, d.node), 42u) << kind;
+    }
   }
 }
 
@@ -321,9 +307,9 @@ TEST(MediumBackends, BatchDifferential) {
   }
 }
 
-// Per-lane payload planes: each lane must deliver its own plane's value,
-// and the bitslice kernel must agree with the per-lane scalar
-// decomposition on every (listener, lane, sender, payload) quadruple.
+// Per-lane payload planes: each lane must fold its own plane's value from
+// its unique sender, and the bitslice kernel must agree with the per-lane
+// scalar decomposition on every (listener, lane) plane word.
 TEST(MediumBackends, BatchPerLanePayloadPlanes) {
   util::Rng rng(78);
   const Graph g = graph::gnp(110, 0.06, rng);
@@ -338,35 +324,33 @@ TEST(MediumBackends, BatchPerLanePayloadPlanes) {
           10'000 * static_cast<Payload>(l + 1) + v;
     }
   }
+  const std::vector<ActiveTx> tx = active_list(tx_mask);
   const PayloadPlanes payload = PayloadPlanes::lane_major(planes, n);
   EXPECT_FALSE(payload.lane_invariant());
   EXPECT_EQ(payload.lane_capacity(), lanes);
 
-  auto scalar = make_medium(MediumKind::kScalar, g, CollisionModel::kNoDetection);
-  BatchOutcome want;
-  scalar->resolve_batch(tx_mask, payload, lanes, want);
-  for (const auto& d : want.deliveries) {
-    EXPECT_EQ(d.payload,
+  auto fold = [&](MediumKind kind, BatchOutcome& out) {
+    auto medium = make_medium(kind, g, CollisionModel::kNoDetection);
+    std::vector<Payload> best(static_cast<std::size_t>(lanes) * n,
+                              kNoPayload);
+    medium->resolve_lanes(tx, payload, lanes,
+                          KnowledgePlanes::lane_major(best, n), out);
+    return best;
+  };
+  BatchOutcome want, got;
+  const auto want_best = fold(MediumKind::kScalar, want);
+  auto ids = make_medium(MediumKind::kScalar, g, CollisionModel::kNoDetection);
+  BatchOutcome ids_out;
+  for (const auto& d : lane_deliveries(*ids, tx, lanes, ids_out)) {
+    EXPECT_EQ(want_best[static_cast<std::size_t>(d.lane) * n + d.node],
               10'000 * static_cast<Payload>(d.lane + 1) + d.from)
         << "delivery must carry the sender's own-lane plane value";
   }
-
-  auto bitslice =
-      make_medium(MediumKind::kBitslice, g, CollisionModel::kNoDetection);
-  BatchOutcome got;
-  bitslice->resolve_batch(tx_mask, payload, lanes, got);
-  auto sorted = [](std::vector<BatchDelivery> v) {
-    std::sort(v.begin(), v.end(),
-              [](const BatchDelivery& a, const BatchDelivery& b) {
-                return std::tie(a.node, a.lane) < std::tie(b.node, b.lane);
-              });
-    return v;
-  };
-  EXPECT_EQ(sorted(got.deliveries), sorted(want.deliveries));
+  EXPECT_EQ(fold(MediumKind::kBitslice, got), want_best);
   EXPECT_EQ(got.delivered_count, want.delivered_count);
 }
 
-// Satellite: BatchNetwork::step under CollisionModel::kDetection — the
+// BatchNetwork::step_lanes under CollisionModel::kDetection — the
 // per-lane collided-listener masks must match what an independent scalar
 // Network reports for each lane, and must stay empty without detection.
 TEST(MediumBackends, BatchNetworkDetectionCollidedMasks) {
@@ -387,8 +371,10 @@ TEST(MediumBackends, BatchNetworkDetectionCollidedMasks) {
         }
       }
     }
+    std::vector<Payload> best(static_cast<std::size_t>(lanes) * n, kNoPayload);
+    const KnowledgePlanes view = KnowledgePlanes::node_major(best, n);
     BatchOutcome out;
-    bn.step(tx_mask, payload, out);
+    bn.step_lanes(active_list(tx_mask), payload, lanes, view, out);
 
     // Fold collision records (consumers must OR split masks).
     std::vector<std::uint64_t> got(n, 0);
@@ -422,7 +408,7 @@ TEST(MediumBackends, BatchNetworkDetectionCollidedMasks) {
     // Without detection, identities must not leak (counters still count).
     BatchNetwork silent(g, lanes, CollisionModel::kNoDetection, kind);
     BatchOutcome silent_out;
-    silent.step(tx_mask, payload, silent_out);
+    silent.step_lanes(active_list(tx_mask), payload, lanes, view, silent_out);
     EXPECT_TRUE(silent_out.collisions.empty()) << to_string(kind);
     EXPECT_EQ(silent.total_collisions(), total_collided) << to_string(kind);
   }
@@ -460,6 +446,7 @@ TEST(MediumBackends, BatchNetworkCountersMatchScalarTotals) {
 
   std::vector<std::uint64_t> tx_mask(n);
   std::vector<Payload> payload(n);
+  std::vector<Payload> best(static_cast<std::size_t>(lanes) * n, kNoPayload);
   BatchOutcome out;
   for (int round = 0; round < 8; ++round) {
     for (NodeId v = 0; v < n; ++v) {
@@ -469,7 +456,8 @@ TEST(MediumBackends, BatchNetworkCountersMatchScalarTotals) {
         if (rng.bernoulli(0.2)) tx_mask[v] |= std::uint64_t{1} << l;
       }
     }
-    bn.step(tx_mask, payload, out);
+    bn.step_lanes(active_list(tx_mask), payload, lanes,
+                  KnowledgePlanes::node_major(best, n), out);
     for (int l = 0; l < lanes; ++l) {
       std::vector<NodeId> tx;
       std::vector<Payload> pay;
@@ -528,21 +516,14 @@ TEST(MediumBackends, ReplicateBatchedMatchesReplicate) {
 
 // Sender recovery must be a pure cost knob. For every backend (bitslice
 // serial and pooled), both collision models, and 1/7/64 lanes, kRowScan
-// and kAuto must produce identical deliveries, delivered masks, best[]
-// planes, and tallies. Per-listener delivery order is normalized.
+// and kAuto must produce identical per-lane senders, delivered masks,
+// best[] planes, and tallies.
 TEST(MediumBackends, RecoveryStrategyDifferential) {
   util::Rng rng(81);
   const Graph gnp = graph::gnp(140, 0.06, rng);
   const Graph star = graph::star(60);
   constexpr RecoveryStrategy kStrategies[] = {RecoveryStrategy::kRowScan,
                                               RecoveryStrategy::kAuto};
-  auto sorted = [](std::vector<BatchDelivery> v) {
-    std::sort(v.begin(), v.end(),
-              [](const BatchDelivery& a, const BatchDelivery& b) {
-                return std::tie(a.node, a.lane) < std::tie(b.node, b.lane);
-              });
-    return v;
-  };
   for (const Graph* g : {&gnp, &star}) {
     const NodeId n = g->node_count();
     for (const CollisionModel model :
@@ -560,46 +541,46 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
                 7'000 * static_cast<Payload>(l + 1) + v;
           }
         }
+        const std::vector<ActiveTx> tx = active_list(tx_mask);
         const std::vector<Payload> shared(n, 42);
         for (const Backend& backend : kAllBackends) {
           const std::string kind = backend.name();
           BatchOutcome want;
-          std::vector<Payload> want_best(
-              static_cast<std::size_t>(lanes) * n, kNoPayload);
+          std::vector<test_util::LaneDelivery> want_records;
+          std::vector<Payload> want_best;
           bool have_want = false;
           for (const RecoveryStrategy strategy : kStrategies) {
             auto medium = backend.make(*g, model, strategy);
             EXPECT_EQ(medium->recovery_strategy(), strategy);
             BatchOutcome got;
-            medium->resolve_batch(
-                tx_mask, PayloadPlanes::lane_major(planes, n), lanes, got);
+            const auto got_records =
+                by_listener(lane_deliveries(*medium, tx, lanes, got));
             std::vector<Payload> got_best(
                 static_cast<std::size_t>(lanes) * n, kNoPayload);
             BatchOutcome fold_out;
-            medium->resolve_batch_max(
-                tx_mask, PayloadPlanes::lane_major(planes, n), lanes,
-                KnowledgePlanes::lane_major(got_best, n), fold_out);
+            medium->resolve_lanes(tx, PayloadPlanes::lane_major(planes, n),
+                                  lanes,
+                                  KnowledgePlanes::lane_major(got_best, n),
+                                  fold_out);
             BatchOutcome shared_out;
             std::vector<Payload> shared_best(
                 static_cast<std::size_t>(lanes) * n, kNoPayload);
-            medium->resolve_batch_max(
-                tx_mask, shared, lanes,
-                KnowledgePlanes::lane_major(shared_best, n), shared_out);
+            medium->resolve_lanes(tx, shared, lanes,
+                                  KnowledgePlanes::lane_major(shared_best, n),
+                                  shared_out);
             if (!have_want) {
               want = got;
-              want.deliveries = sorted(want.deliveries);
+              want_records = got_records;
               want_best = got_best;
               have_want = true;
-              // Cross-check the fold against the recovered deliveries.
-              std::vector<Payload> from_deliveries(
+              // Cross-check the fold against the recovered senders.
+              std::vector<Payload> from_senders(
                   static_cast<std::size_t>(lanes) * n, kNoPayload);
-              for (const auto& d : got.deliveries) {
-                Payload& b =
-                    from_deliveries[static_cast<std::size_t>(d.lane) * n +
-                                    d.node];
-                if (b == kNoPayload || d.payload > b) b = d.payload;
+              for (const auto& d : got_records) {
+                from_senders[static_cast<std::size_t>(d.lane) * n + d.node] =
+                    planes[static_cast<std::size_t>(d.lane) * n + d.from];
               }
-              EXPECT_EQ(got_best, from_deliveries) << kind;
+              EXPECT_EQ(got_best, from_senders) << kind;
               for (const auto& d : shared_out.delivered) {
                 for (std::uint64_t hit = d.lanes; hit != 0; hit &= hit - 1) {
                   const int l = std::countr_zero(hit);
@@ -613,7 +594,7 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
             const std::string ctx = kind + "/" +
                                     std::string(to_string(strategy)) +
                                     " lanes=" + std::to_string(lanes);
-            EXPECT_EQ(sorted(got.deliveries), want.deliveries) << ctx;
+            EXPECT_EQ(got_records, want_records) << ctx;
             auto masks = [n](const BatchOutcome& o) {
               std::vector<std::uint64_t> m(n, 0);
               for (const auto& d : o.delivered) m[d.node] = d.lanes;
@@ -645,15 +626,19 @@ TEST(MediumBackends, RecoveryStrategyPinsThePath) {
       if (rng.bernoulli(0.2)) tx_mask[v] |= std::uint64_t{1} << l;
     }
   }
+  const std::vector<ActiveTx> tx = active_list(tx_mask);
   const std::vector<Payload> shared(n, 9);
+  std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
   for (const RecoveryStrategy strategy :
        {RecoveryStrategy::kRowScan, RecoveryStrategy::kAuto}) {
     auto medium = make_medium(MediumKind::kBitslice, g,
                               CollisionModel::kNoDetection, 0, strategy);
     BatchOutcome out;
+    // Lane-major planes are never lane-invariant, so even an all-equal
+    // buffer goes through sender recovery.
     for (int round = 0; round < 5; ++round) {
-      medium->resolve_batch(tx_mask, PayloadPlanes::lane_major(planes, n),
-                            64, out);
+      medium->resolve_lanes(tx, PayloadPlanes::lane_major(planes, n), 64,
+                            KnowledgePlanes::lane_major(best, n), out);
     }
     const PhaseTimers& t = medium->phase_timers();
     EXPECT_EQ(t.rounds, 5u);
@@ -664,9 +649,8 @@ TEST(MediumBackends, RecoveryStrategyPinsThePath) {
 
     // The constant-plane fold: kAuto folds with no sender identification
     // (counted as neither); kRowScan recovers senders as usual.
-    std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
-    medium->resolve_batch_max(tx_mask, shared, 64,
-                              KnowledgePlanes::lane_major(best, n), out);
+    medium->resolve_lanes(tx, shared, 64,
+                          KnowledgePlanes::lane_major(best, n), out);
     const bool folds = strategy == RecoveryStrategy::kAuto;
     EXPECT_EQ(medium->phase_timers().constfold_rounds, folds ? 1u : 0u);
     EXPECT_EQ(medium->phase_timers().rowscan_rounds, folds ? 0u : 1u);

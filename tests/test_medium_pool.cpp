@@ -1,7 +1,7 @@
 // Bitslice's work-stealing gather pool: dense rounds run degree-balanced
 // listener slices on the pool, per-slice outputs merge in slice-index
 // order, and workers and slices only move cost — so every observable
-// (deliveries, order included; masks; planes; counters) must be
+// (per-lane senders, order included; masks; planes; counters) must be
 // BYTE-IDENTICAL to the serial (1-worker) medium for any worker count, any
 // slice count and any steal interleaving. Plus the node-major/lane-major
 // knowledge-plane differential across both backends: the layout is a
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "lane_deliveries.hpp"
 #include "radio/medium.hpp"
 #include "util/rng.hpp"
 
@@ -23,6 +24,9 @@ namespace {
 
 using graph::Graph;
 using graph::NodeId;
+using test_util::active_list;
+using test_util::lane_deliveries;
+using test_util::LaneDelivery;
 
 std::vector<std::uint64_t> random_mask(NodeId n, int lanes, double p,
                                        util::Rng& rng) {
@@ -39,7 +43,7 @@ std::vector<std::uint64_t> random_mask(NodeId n, int lanes, double p,
 /// — vector ORDER included, which is what "byte-identical" means here.
 struct BatchObservables {
   std::vector<BatchDeliveredMask> delivered;
-  std::vector<BatchDelivery> deliveries;
+  std::vector<LaneDelivery> deliveries;
   std::vector<std::pair<NodeId, std::uint64_t>> collisions;
   std::array<std::uint32_t, kMaxLanes> transmitter_count{};
   std::array<std::uint32_t, kMaxLanes> delivered_count{};
@@ -50,10 +54,12 @@ struct BatchObservables {
   bool operator==(const BatchObservables&) const = default;
 };
 
-BatchObservables capture(const BatchOutcome& out, std::vector<Payload> best) {
+BatchObservables capture(const BatchOutcome& out,
+                         std::vector<LaneDelivery> deliveries,
+                         std::vector<Payload> best) {
   BatchObservables o;
   o.delivered = out.delivered;
-  o.deliveries = out.deliveries;
+  o.deliveries = std::move(deliveries);
   for (const auto& c : out.collisions) o.collisions.emplace_back(c.node, c.lanes);
   o.transmitter_count = out.transmitter_count;
   o.delivered_count = out.delivered_count;
@@ -64,10 +70,10 @@ BatchObservables capture(const BatchOutcome& out, std::vector<Payload> best) {
 }
 
 /// Runs a fixed multi-round workload on one medium and returns every
-/// observable in sequence: per round, a masks-only batch, a batch with
-/// senders and a max-fold through the mask entry, the same three through
-/// the list entry, and a single-lane resolve() round — over dense (gather,
-/// pooled) and sparse (scatter, serial) shapes, with recovery `strategy`.
+/// observable in sequence: per round, a sender-id fold, a fold of per-lane
+/// planes, a constant-plane fold (kAuto's const-fold), and a single-lane
+/// resolve() round — over dense (gather, pooled) and sparse (scatter,
+/// serial) shapes, with recovery `strategy`.
 std::vector<BatchObservables> run_workload(const Graph& g,
                                            CollisionModel model, int workers,
                                            int slices,
@@ -83,10 +89,7 @@ std::vector<BatchObservables> run_workload(const Graph& g,
     const double density = round % 2 == 0 ? 0.3 : 0.01;
     const int lanes = round < 2 ? 1 : 64;
     const auto tx_mask = random_mask(n, lanes, density, rng);
-    std::vector<ActiveTx> entries;
-    for (NodeId v = 0; v < n; ++v) {
-      if (tx_mask[v] != 0) entries.push_back({v, tx_mask[v]});
-    }
+    const std::vector<ActiveTx> entries = active_list(tx_mask);
     std::vector<Payload> planes(static_cast<std::size_t>(lanes) * n);
     for (int l = 0; l < lanes; ++l) {
       for (NodeId v = 0; v < n; ++v) {
@@ -94,33 +97,20 @@ std::vector<BatchObservables> run_workload(const Graph& g,
             9'000 * static_cast<Payload>(l + 1) + v;
       }
     }
-    const PayloadPlanes payload = PayloadPlanes::lane_major(planes, n);
 
-    for (const bool listed : {false, true}) {
-      BatchOutcome masks;
-      BatchOutcome out;
-      if (listed) {
-        medium.resolve_batch_active(entries, payload, lanes, masks,
-                                    /*with_senders=*/false);
-        medium.resolve_batch_active(entries, payload, lanes, out);
-      } else {
-        medium.resolve_batch(tx_mask, payload, lanes, masks,
-                             /*with_senders=*/false);
-        medium.resolve_batch(tx_mask, payload, lanes, out);
-      }
-      trace.push_back(capture(masks, {}));
-      trace.push_back(capture(out, {}));
+    BatchOutcome ids;
+    auto senders = lane_deliveries(medium, entries, lanes, ids);
+    trace.push_back(capture(ids, std::move(senders), {}));
 
+    const std::vector<Payload> constant(n, 5);
+    for (const PayloadPlanes payload :
+         {PayloadPlanes::lane_major(planes, n), PayloadPlanes(constant)}) {
       std::vector<Payload> best(static_cast<std::size_t>(lanes) * n,
                                 kNoPayload);
-      const KnowledgePlanes view = KnowledgePlanes::node_major(best, n);
       BatchOutcome fold;
-      if (listed) {
-        medium.resolve_batch_max_active(entries, payload, lanes, view, fold);
-      } else {
-        medium.resolve_batch_max(tx_mask, payload, lanes, view, fold);
-      }
-      trace.push_back(capture(fold, std::move(best)));
+      medium.resolve_lanes(entries, payload, lanes,
+                           KnowledgePlanes::node_major(best, n), fold);
+      trace.push_back(capture(fold, {}, std::move(best)));
     }
 
     // Scalar facade round from the same stream.
@@ -136,7 +126,8 @@ std::vector<BatchObservables> run_workload(const Graph& g,
     medium.resolve(tx, pay, sp);
     BatchObservables so;
     for (const auto& d : sp.deliveries) {
-      so.deliveries.push_back({d.node, 0, d.from, d.payload});
+      so.deliveries.push_back({d.node, 0, d.from});
+      so.best.push_back(d.payload);  // the delivered payloads, in order
     }
     for (const NodeId c : sp.collided_nodes) so.collisions.emplace_back(c, 1);
     so.transmitter_count[0] = sp.transmitter_count;
@@ -151,7 +142,7 @@ std::vector<BatchObservables> run_workload(const Graph& g,
 // layout and over forced one-node slices — are byte-identical to the
 // serial medium's, under both recovery strategies. The serial run has no
 // pool; the pooled runs steal arbitrarily — none of it may show.
-TEST(MediumSharded, WorkerCountByteDeterminism) {
+TEST(MediumPool, WorkerCountByteDeterminism) {
   util::Rng grng(71);
   const Graph g = graph::gnp(260, 0.05, grng);
   const int one_node = static_cast<int>(g.node_count());
@@ -180,7 +171,7 @@ TEST(MediumSharded, WorkerCountByteDeterminism) {
 // and guarantee heavy stealing; outcomes still match the serial run
 // exactly, over many repetitions to shake interleavings — and the pool
 // reports the steals it made.
-TEST(MediumSharded, ForcedStealStaysDeterministic) {
+TEST(MediumPool, ForcedStealStaysDeterministic) {
   util::Rng grng(72);
   const Graph g = graph::gnp(150, 0.08, grng);
   const NodeId n = g.node_count();
@@ -197,10 +188,10 @@ TEST(MediumSharded, ForcedStealStaysDeterministic) {
     std::vector<Payload> best_a(static_cast<std::size_t>(64) * n, kNoPayload);
     std::vector<Payload> best_b = best_a;
     BatchOutcome out_a, out_b;
-    one.resolve_batch_max(mask_a, shared, 64,
-                          KnowledgePlanes::node_major(best_a, n), out_a);
-    many.resolve_batch_max(mask_b, shared, 64,
-                           KnowledgePlanes::node_major(best_b, n), out_b);
+    one.resolve_lanes(active_list(mask_a), shared, 64,
+                      KnowledgePlanes::node_major(best_a, n), out_a);
+    many.resolve_lanes(active_list(mask_b), shared, 64,
+                       KnowledgePlanes::node_major(best_b, n), out_b);
     ASSERT_EQ(best_a, best_b) << "round " << round;
     ASSERT_EQ(out_a.delivered, out_b.delivered) << "round " << round;
     ASSERT_EQ(out_a.delivered_count, out_b.delivered_count);
@@ -213,7 +204,7 @@ TEST(MediumSharded, ForcedStealStaysDeterministic) {
 // Worker count: explicit, capped at the node count; serial media keep
 // one slice and start no pool. The slice knob is honoured and capped at
 // the node count.
-TEST(MediumSharded, WorkerAndSliceCounts) {
+TEST(MediumPool, WorkerAndSliceCounts) {
   util::Rng grng(73);
   const Graph g = graph::gnp(200, 0.06, grng);
   BitsliceMedium a(g, CollisionModel::kNoDetection, 1, 23);
@@ -239,7 +230,7 @@ TEST(MediumSharded, WorkerAndSliceCounts) {
 // lane-major buffer must produce the same (lane, node) values — pinned by
 // remapping one onto the other — and the payload side must agree too when
 // the planes come in node-major form.
-TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
+TEST(MediumPool, NodeMajorLaneMajorDifferentialAllBackends) {
   util::Rng rng(75);
   const Graph g = graph::gnp(140, 0.06, rng);
   const NodeId n = g.node_count();
@@ -247,7 +238,7 @@ TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
                                                  {MediumKind::kBitslice, 1},
                                                  {MediumKind::kBitslice, 4}};
   for (const int lanes : {7, 64}) {
-    const auto tx_mask = random_mask(n, lanes, 0.2, rng);
+    const auto tx = active_list(random_mask(n, lanes, 0.2, rng));
     // Same logical payloads in both layouts.
     std::vector<Payload> lane_major_payload(
         static_cast<std::size_t>(lanes) * n);
@@ -268,11 +259,11 @@ TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
       std::vector<Payload> best_nm(static_cast<std::size_t>(lanes) * n,
                                    kNoPayload);
       BatchOutcome out_lm, out_nm;
-      medium->resolve_batch_max(
-          tx_mask, PayloadPlanes::lane_major(lane_major_payload, n), lanes,
+      medium->resolve_lanes(
+          tx, PayloadPlanes::lane_major(lane_major_payload, n), lanes,
           KnowledgePlanes::lane_major(best_lm, n), out_lm);
-      medium->resolve_batch_max(
-          tx_mask, PayloadPlanes::node_major(node_major_payload, n), lanes,
+      medium->resolve_lanes(
+          tx, PayloadPlanes::node_major(node_major_payload, n), lanes,
           KnowledgePlanes::node_major(best_nm, n), out_nm);
       EXPECT_EQ(out_lm.delivered, out_nm.delivered) << to_string(kind);
       EXPECT_EQ(out_lm.delivered_count, out_nm.delivered_count)
@@ -290,20 +281,43 @@ TEST(MediumSharded, NodeMajorLaneMajorDifferentialAllBackends) {
 
 // Multi-lane folds through the implicit single-plane view must be
 // rejected: a raw vector is a 1-lane adapter, not a multi-lane buffer.
-TEST(MediumSharded, ImplicitSinglePlaneRejectsMultiLane) {
+// KnowledgePlanes::shared is the explicit all-lanes-into-one-plane view.
+TEST(MediumPool, ImplicitSinglePlaneRejectsMultiLane) {
   util::Rng rng(76);
   const Graph g = graph::gnp(60, 0.1, rng);
   const NodeId n = g.node_count();
-  const auto tx_mask = random_mask(n, 8, 0.3, rng);
+  const auto tx = active_list(random_mask(n, 8, 0.3, rng));
   const std::vector<Payload> shared(n, 1);
   std::vector<Payload> best(static_cast<std::size_t>(8) * n, kNoPayload);
   BitsliceMedium medium(g, CollisionModel::kNoDetection, 2);
   BatchOutcome out;
-  EXPECT_THROW(medium.resolve_batch_max(tx_mask, shared, 8, best, out),
+  EXPECT_THROW(medium.resolve_lanes(tx, shared, 8, best, out),
                std::invalid_argument);
   // The explicit view over the same buffer is fine.
-  medium.resolve_batch_max(tx_mask, shared, 8,
-                           KnowledgePlanes::node_major(best, n), out);
+  medium.resolve_lanes(tx, shared, 8, KnowledgePlanes::node_major(best, n),
+                       out);
+
+  // So is the explicit shared view: every lane folds into one n-word
+  // plane, each node's word the max over the lanes it received in.
+  std::vector<Payload> planes(static_cast<std::size_t>(8) * n);
+  for (std::size_t i = 0; i < planes.size(); ++i) planes[i] = 10 + i;
+  const PayloadPlanes per_lane = PayloadPlanes::lane_major(planes, n);
+  std::vector<Payload> lane_best(static_cast<std::size_t>(8) * n, kNoPayload);
+  std::vector<Payload> heard(n, kNoPayload);
+  BatchOutcome lane_out, shared_out;
+  medium.resolve_lanes(tx, per_lane, 8,
+                       KnowledgePlanes::lane_major(lane_best, n), lane_out);
+  medium.resolve_lanes(tx, per_lane, 8, KnowledgePlanes::shared(heard),
+                       shared_out);
+  EXPECT_EQ(shared_out.delivered, lane_out.delivered);
+  for (NodeId v = 0; v < n; ++v) {
+    Payload want = kNoPayload;
+    for (int l = 0; l < 8; ++l) {
+      const Payload b = lane_best[static_cast<std::size_t>(l) * n + v];
+      if (b != kNoPayload && (want == kNoPayload || b > want)) want = b;
+    }
+    EXPECT_EQ(heard[v], want) << "node " << v;
+  }
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
-// Differential tests for the sparse transmitter-list path: bitslice's
-// resolve_batch_active / resolve_batch_max_active build the round from the
-// ActiveTx list (no 0..n scan) and must be byte-identical to the scalar
-// reference (and agree with the dense entry points of every backend) on
-// deliveries, delivered masks, best[] planes, and tallies — across both
-// collision models, 1/7/64 lanes, and both dense rounds and the
-// sparse-tail rounds the path exists for. Also covered: the lazily-cleared
-// staging mask across repeated sparse rounds (stale lanes are a real
-// hazard), resolve_batch_active == dense on both backends, the
-// single-lane resolve() facade that now rides the same path, the
-// active_listeners cost diagnostic, and the enqueue_ns/drain_ns phase
-// attribution of list-driven rounds.
+// Differential tests for the transmitter-list round: bitslice's
+// resolve_lanes builds every round from the ActiveTx list (no 0..n scan)
+// and must be byte-identical to the scalar reference on per-lane senders,
+// delivered masks, best[] planes, and tallies — across both collision
+// models, 1/7/64 lanes, and both dense rounds and the sparse-tail rounds
+// the list walk exists for. Also covered: the lazily-cleared staging mask
+// across repeated rounds (stale lanes are a real hazard), split and
+// duplicate entries, the single-lane resolve() facade that rides the same
+// fold, the active_listeners cost diagnostic, and the phase attribution
+// of list rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +19,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "lane_deliveries.hpp"
 #include "radio/batch_network.hpp"
 #include "radio/medium.hpp"
 #include "radio/network.hpp"
@@ -32,29 +31,13 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
+using test_util::active_list;
+using test_util::by_listener;
+using test_util::lane_deliveries;
+using test_util::lane_masks;
+
 constexpr MediumKind kAllKinds[] = {MediumKind::kScalar,
                                     MediumKind::kBitslice};
-
-std::vector<BatchDelivery> sorted(std::vector<BatchDelivery> v) {
-  std::sort(v.begin(), v.end(),
-            [](const BatchDelivery& a, const BatchDelivery& b) {
-              return std::tie(a.node, a.lane, a.from) <
-                     std::tie(b.node, b.lane, b.from);
-            });
-  return v;
-}
-
-std::vector<std::uint64_t> delivered_masks(const BatchOutcome& o, NodeId n) {
-  std::vector<std::uint64_t> m(n, 0);
-  for (const auto& d : o.delivered) m[d.node] |= d.lanes;
-  return m;
-}
-
-std::vector<std::uint64_t> collision_masks(const BatchOutcome& o, NodeId n) {
-  std::vector<std::uint64_t> m(n, 0);
-  for (const auto& c : o.collisions) m[c.node] |= c.lanes;
-  return m;
-}
 
 /// Builds a transmit-mask round: `density` per (node, lane), restricted to
 /// the first `sources` nodes when sources < n (the sparse-tail shape).
@@ -69,67 +52,50 @@ std::vector<std::uint64_t> make_round(NodeId n, int lanes, double density,
   return tx_mask;
 }
 
-/// The sparse view of a dense mask: one entry per transmitting node.
-std::vector<ActiveTx> entries_of(std::span<const std::uint64_t> tx_mask) {
-  std::vector<ActiveTx> entries;
-  for (NodeId v = 0; v < tx_mask.size(); ++v) {
-    if (tx_mask[v] != 0) entries.push_back({v, tx_mask[v]});
-  }
-  return entries;
-}
-
-/// Runs one round on `kind` — through the dense entry points, or through
-/// the sparse-list ones when `active` — and checks every observable
-/// against the scalar reference outcome.
+/// Runs one round on bitslice (3 workers) and checks every observable
+/// against the scalar reference: per-lane senders, masks and counters
+/// through an id-plane fold, and the fold of the lane-major `planes`.
 void check_against_scalar(const Graph& g, CollisionModel model, int lanes,
-                          std::span<const std::uint64_t> tx_mask,
-                          std::span<const Payload> planes,
-                          const BatchOutcome& want,
-                          std::span<const Payload> want_best, MediumKind kind,
-                          bool active) {
+                          std::span<const ActiveTx> tx,
+                          std::span<const Payload> planes) {
   const NodeId n = g.node_count();
   const PayloadPlanes payload = PayloadPlanes::lane_major(planes, n);
-  const std::vector<ActiveTx> entries = entries_of(tx_mask);
-  auto medium = make_medium(kind, g, model, /*threads=*/3);
-  BatchOutcome got;
-  if (active) {
-    medium->resolve_batch_active(entries, payload, lanes, got);
-  } else {
-    medium->resolve_batch(tx_mask, payload, lanes, got);
-  }
-  const std::string ctx = std::string(to_string(kind)) +
-                          (active ? " active" : " dense") +
-                          " lanes=" + std::to_string(lanes) +
+  const std::string ctx = "lanes=" + std::to_string(lanes) +
                           " model=" + std::to_string(static_cast<int>(model));
+  auto scalar = make_medium(MediumKind::kScalar, g, model);
+  auto bitslice = make_medium(MediumKind::kBitslice, g, model, /*threads=*/3);
+
+  BatchOutcome want, got;
+  const auto want_records = by_listener(lane_deliveries(*scalar, tx, lanes, want));
+  const auto got_records = by_listener(lane_deliveries(*bitslice, tx, lanes, got));
   EXPECT_EQ(got.transmitter_count, want.transmitter_count) << ctx;
   EXPECT_EQ(got.delivered_count, want.delivered_count) << ctx;
   EXPECT_EQ(got.collided_count, want.collided_count) << ctx;
-  EXPECT_EQ(sorted(got.deliveries), sorted(want.deliveries)) << ctx;
-  EXPECT_EQ(delivered_masks(got, n), delivered_masks(want, n)) << ctx;
-  EXPECT_EQ(collision_masks(got, n), collision_masks(want, n)) << ctx;
+  EXPECT_EQ(got_records, want_records) << ctx;
+  EXPECT_EQ(lane_masks(got.delivered, n), lane_masks(want.delivered, n)) << ctx;
+  EXPECT_EQ(lane_masks(got.collisions, n), lane_masks(want.collisions, n))
+      << ctx;
   if (model == CollisionModel::kNoDetection) {
     EXPECT_TRUE(got.collisions.empty()) << ctx;
   }
 
-  std::vector<Payload> got_best(static_cast<std::size_t>(lanes) * n,
-                                kNoPayload);
-  const KnowledgePlanes best = KnowledgePlanes::lane_major(got_best, n);
-  BatchOutcome fold_out;
-  if (active) {
-    medium->resolve_batch_max_active(entries, payload, lanes, best, fold_out);
-  } else {
-    medium->resolve_batch_max(tx_mask, payload, lanes, best, fold_out);
-  }
-  EXPECT_EQ(got_best, std::vector<Payload>(want_best.begin(), want_best.end()))
-      << ctx;  // byte-identical planes
-  EXPECT_EQ(delivered_masks(fold_out, n), delivered_masks(want, n)) << ctx;
+  std::vector<Payload> want_best(static_cast<std::size_t>(lanes) * n,
+                                 kNoPayload);
+  std::vector<Payload> got_best = want_best;
+  BatchOutcome want_fold, got_fold;
+  scalar->resolve_lanes(tx, payload, lanes,
+                        KnowledgePlanes::lane_major(want_best, n), want_fold);
+  bitslice->resolve_lanes(tx, payload, lanes,
+                          KnowledgePlanes::lane_major(got_best, n), got_fold);
+  EXPECT_EQ(got_best, want_best) << ctx;  // byte-identical planes
+  EXPECT_EQ(lane_masks(got_fold.delivered, n), lane_masks(want.delivered, n))
+      << ctx;
 }
 
 // Tentpole differential: dense rounds (every node may transmit) and
 // sparse-tail rounds (a handful of sources in a large quiet graph) across
 // both collision models and 1/7/64 lanes, on GnP and cluster topologies —
-// bitslice's sparse-list and dense entry points, each against the scalar
-// reference.
+// bitslice's list round against the scalar reference.
 TEST(MediumSparse, DifferentialAgainstScalar) {
   util::Rng rng(91);
   const Graph gnp = graph::gnp(140, 0.06, rng);
@@ -151,22 +117,8 @@ TEST(MediumSparse, DifferentialAgainstScalar) {
                   5'000 * static_cast<Payload>(l + 1) + v;
             }
           }
-          auto scalar = make_medium(MediumKind::kScalar, *g, model);
-          BatchOutcome want;
-          scalar->resolve_batch(
-              tx_mask, PayloadPlanes::lane_major(planes, n), lanes, want);
-          std::vector<Payload> want_best(static_cast<std::size_t>(lanes) * n,
-                                         kNoPayload);
-          BatchOutcome want_fold;
-          scalar->resolve_batch_max(tx_mask,
-                                    PayloadPlanes::lane_major(planes, n),
-                                    lanes,
-                                    KnowledgePlanes::lane_major(want_best, n),
-                                    want_fold);
-          for (const bool active : {true, false}) {
-            check_against_scalar(*g, model, lanes, tx_mask, planes, want,
-                                 want_best, MediumKind::kBitslice, active);
-          }
+          check_against_scalar(*g, model, lanes, active_list(tx_mask),
+                               planes);
         }
       }
     }
@@ -249,16 +201,15 @@ TEST(MediumSparse, LazyResetAcrossRounds) {
     // A fresh scalar medium per round is the stateless reference; one
     // long-lived bitslice medium accumulates any reset bug.
     auto bitslice = make_medium(MediumKind::kBitslice, g, model);
-    std::vector<Payload> planes(n);
-    for (NodeId v = 0; v < n; ++v) planes[v] = 100 + v;
     auto run_round = [&](const std::vector<std::uint64_t>& tx_mask) {
       auto scalar = make_medium(MediumKind::kScalar, g, model);
+      const std::vector<ActiveTx> tx = active_list(tx_mask);
       BatchOutcome want, got;
-      scalar->resolve_batch(tx_mask, planes, 64, want);
-      bitslice->resolve_batch_active(entries_of(tx_mask), planes, 64, got);
-      EXPECT_EQ(sorted(got.deliveries), sorted(want.deliveries));
-      EXPECT_EQ(delivered_masks(got, n), delivered_masks(want, n));
-      EXPECT_EQ(collision_masks(got, n), collision_masks(want, n));
+      const auto want_records = lane_deliveries(*scalar, tx, 64, want);
+      const auto got_records = lane_deliveries(*bitslice, tx, 64, got);
+      EXPECT_EQ(by_listener(got_records), by_listener(want_records));
+      EXPECT_EQ(lane_masks(got.delivered, n), lane_masks(want.delivered, n));
+      EXPECT_EQ(lane_masks(got.collisions, n), lane_masks(want.collisions, n));
       EXPECT_EQ(got.transmitter_count, want.transmitter_count);
       EXPECT_EQ(got.delivered_count, want.delivered_count);
       EXPECT_EQ(got.collided_count, want.collided_count);
@@ -292,11 +243,12 @@ TEST(MediumSparse, LazyResetAcrossRounds) {
   }
 }
 
-// The sparse entry point must agree with the dense one on every backend
-// (bitslice runs it natively; scalar decomposes the list per lane) —
-// including duplicate entries, whose lane masks OR together, and a throw
-// that must leave the medium reusable.
-TEST(MediumSparse, ResolveBatchActiveMatchesDenseOnAllBackends) {
+// A transmitter's lane mask may arrive split across duplicate entries
+// (their masks OR together) and padded with zero-mask entries for silent
+// nodes; on every backend that round must equal the one-entry-per-node
+// list. An out-of-range node must throw — here after valid entries have
+// already been staged — and leave the medium usable.
+TEST(MediumSparse, SplitAndDuplicateEntriesMatchOneEntryPerNode) {
   util::Rng rng(94);
   const Graph g = graph::gnp(110, 0.07, rng);
   const NodeId n = g.node_count();
@@ -306,11 +258,13 @@ TEST(MediumSparse, ResolveBatchActiveMatchesDenseOnAllBackends) {
   for (const CollisionModel model :
        {CollisionModel::kNoDetection, CollisionModel::kDetection}) {
     std::vector<std::uint64_t> tx_mask = make_round(n, lanes, 0.1, n, rng);
-    // Sparse view, with each transmitter's mask split across duplicate
-    // entries to exercise the OR semantics.
+    const std::vector<ActiveTx> once = active_list(tx_mask);
     std::vector<ActiveTx> entries;
     for (NodeId v = 0; v < n; ++v) {
-      if (tx_mask[v] == 0) continue;
+      if (tx_mask[v] == 0) {
+        entries.push_back({v, 0});  // silent node, listed anyway
+        continue;
+      }
       const std::uint64_t half = tx_mask[v] & rng();
       if (half != 0 && half != tx_mask[v]) {
         entries.push_back({v, half});
@@ -323,80 +277,89 @@ TEST(MediumSparse, ResolveBatchActiveMatchesDenseOnAllBackends) {
     for (const MediumKind kind : kAllKinds) {
       auto medium = make_medium(kind, g, model, 3);
       BatchOutcome want, got;
-      medium->resolve_batch(tx_mask, planes, lanes, want);
-      medium->resolve_batch_active(entries, planes, lanes, got);
+      const auto want_records = lane_deliveries(*medium, once, lanes, want);
+      const auto got_records = lane_deliveries(*medium, entries, lanes, got);
       const std::string ctx(to_string(kind));
       EXPECT_EQ(got.transmitter_count, want.transmitter_count) << ctx;
       EXPECT_EQ(got.delivered_count, want.delivered_count) << ctx;
       EXPECT_EQ(got.collided_count, want.collided_count) << ctx;
-      EXPECT_EQ(sorted(got.deliveries), sorted(want.deliveries)) << ctx;
-      EXPECT_EQ(delivered_masks(got, n), delivered_masks(want, n)) << ctx;
-      EXPECT_EQ(collision_masks(got, n), collision_masks(want, n)) << ctx;
+      EXPECT_EQ(got_records, want_records) << ctx;
+      EXPECT_EQ(got.delivered, want.delivered) << ctx;
+      EXPECT_EQ(lane_masks(got.collisions, n), lane_masks(want.collisions, n))
+          << ctx;
 
-      // Max-fold through the sparse entry point.
       std::vector<Payload> want_best(static_cast<std::size_t>(lanes) * n,
                                      kNoPayload);
-      std::vector<Payload> got_best(static_cast<std::size_t>(lanes) * n,
-                                    kNoPayload);
+      std::vector<Payload> got_best = want_best;
       BatchOutcome fold_want, fold_got;
-      medium->resolve_batch_max(tx_mask, planes, lanes,
-                                KnowledgePlanes::lane_major(want_best, n),
-                                fold_want);
-      medium->resolve_batch_max_active(
-          entries, planes, lanes, KnowledgePlanes::lane_major(got_best, n),
-          fold_got);
+      medium->resolve_lanes(once, planes, lanes,
+                            KnowledgePlanes::lane_major(want_best, n),
+                            fold_want);
+      medium->resolve_lanes(entries, planes, lanes,
+                            KnowledgePlanes::lane_major(got_best, n),
+                            fold_got);
       EXPECT_EQ(got_best, want_best) << ctx;
 
-      // Out-of-range nodes must throw on every backend — here after valid
-      // entries have already been staged — and the medium must stay
-      // usable afterwards (scratch not left dirty).
       std::vector<ActiveTx> bad = entries;
       bad.push_back({n, 1});
       BatchOutcome bad_out;
-      EXPECT_THROW(
-          medium->resolve_batch_active(bad, planes, lanes, bad_out),
-          std::invalid_argument)
+      EXPECT_THROW(medium->resolve_lanes(bad, planes, lanes,
+                                         KnowledgePlanes::lane_major(got_best, n),
+                                         bad_out),
+                   std::invalid_argument)
           << ctx;
       BatchOutcome after;
-      medium->resolve_batch_active(entries, planes, lanes, after);
-      EXPECT_EQ(delivered_masks(after, n), delivered_masks(want, n)) << ctx;
+      EXPECT_EQ(lane_deliveries(*medium, entries, lanes, after), want_records)
+          << ctx;
+      EXPECT_EQ(after.delivered, want.delivered) << ctx;
       EXPECT_EQ(after.transmitter_count, want.transmitter_count) << ctx;
     }
   }
 }
 
-// LaneExecutor wiring: BatchNetwork::step_lanes_active must produce the
-// same outcome and counters as the dense step() on every backend.
-TEST(MediumSparse, BatchNetworkStepLanesActive) {
+// LaneExecutor wiring: BatchNetwork::step_lanes must produce the medium's
+// own outcome and advance its per-lane counters by that round's tallies,
+// on every backend.
+TEST(MediumSparse, BatchNetworkStepLanesMatchesMedium) {
   util::Rng rng(95);
   const Graph g = graph::gnp(90, 0.08, rng);
   const NodeId n = g.node_count();
   const int lanes = 64;
-  std::vector<std::uint64_t> tx_mask = make_round(n, lanes, 0.15, n, rng);
+  const std::vector<ActiveTx> entries =
+      active_list(make_round(n, lanes, 0.15, n, rng));
   std::vector<Payload> payload(n);
   for (NodeId v = 0; v < n; ++v) payload[v] = v;
-  const std::vector<ActiveTx> entries = entries_of(tx_mask);
   for (const MediumKind kind : kAllKinds) {
-    BatchNetwork dense(g, lanes, CollisionModel::kDetection, kind);
-    BatchNetwork active(g, lanes, CollisionModel::kDetection, kind);
+    auto medium = make_medium(kind, g, CollisionModel::kDetection);
+    BatchNetwork bn(g, lanes, CollisionModel::kDetection, kind);
+    std::vector<Payload> want_best(static_cast<std::size_t>(lanes) * n,
+                                   kNoPayload);
+    std::vector<Payload> got_best = want_best;
     BatchOutcome want, got;
-    dense.step(tx_mask, payload, want);
-    active.step_lanes_active(entries, payload, got);
+    medium->resolve_lanes(entries, payload, lanes,
+                          KnowledgePlanes::node_major(want_best, n), want);
+    bn.step_lanes(entries, payload, lanes,
+                  KnowledgePlanes::node_major(got_best, n), got);
     const std::string ctx(to_string(kind));
-    EXPECT_EQ(sorted(got.deliveries), sorted(want.deliveries)) << ctx;
-    EXPECT_EQ(delivered_masks(got, n), delivered_masks(want, n)) << ctx;
-    EXPECT_EQ(active.total_deliveries(), dense.total_deliveries()) << ctx;
-    EXPECT_EQ(active.total_transmissions(), dense.total_transmissions())
-        << ctx;
-    EXPECT_EQ(active.total_collisions(), dense.total_collisions()) << ctx;
-    EXPECT_EQ(active.rounds_elapsed(), 1u) << ctx;
+    EXPECT_EQ(got_best, want_best) << ctx;
+    EXPECT_EQ(got.delivered, want.delivered) << ctx;
+    std::uint64_t tx = 0, delivered = 0, collided = 0;
+    for (int l = 0; l < lanes; ++l) {
+      tx += want.transmitter_count[l];
+      delivered += want.delivered_count[l];
+      collided += want.collided_count[l];
+    }
+    EXPECT_EQ(bn.total_transmissions(), tx) << ctx;
+    EXPECT_EQ(bn.total_deliveries(), delivered) << ctx;
+    EXPECT_EQ(bn.total_collisions(), collided) << ctx;
+    EXPECT_EQ(bn.rounds_elapsed(), 1u) << ctx;
   }
 }
 
 // active_listeners: every backend agrees on the woken-set size (every
 // node with >=1 transmitting neighbour, transmitters included), and
-// bitslice's sparse-list and dense batch paths agree with the ground
-// truth too.
+// bitslice's batch round agrees with the ground truth too, whether the
+// list names only the transmitters or all n nodes.
 TEST(MediumSparse, ActiveListenersDiagnostic) {
   util::Rng rng(96);
   const Graph g = graph::gnp(100, 0.08, rng);
@@ -433,79 +396,77 @@ TEST(MediumSparse, ActiveListenersDiagnostic) {
         << to_string(kind);
   }
 
-  // Batch path, sparse-tail shape: the list entry and the dense entry
-  // report the same woken set, far below n.
+  // Batch path, sparse-tail shape: the transmitters-only list and the
+  // n-entry list (zero masks for silent nodes) report the same woken set,
+  // far below n.
   std::vector<std::uint64_t> tx_mask = make_round(n, 64, 0.6, 3, rng);
   const std::uint32_t want_batch =
       woken([&](NodeId u) { return tx_mask[u] != 0; });
+  std::vector<ActiveTx> all_n;
+  for (NodeId v = 0; v < n; ++v) all_n.push_back({v, tx_mask[v]});
   std::vector<Payload> planes(n, 1);
+  std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
+  const KnowledgePlanes view = KnowledgePlanes::node_major(best, n);
   BatchOutcome a, b;
   auto bitslice = make_medium(MediumKind::kBitslice, g,
                               CollisionModel::kNoDetection);
-  bitslice->resolve_batch_active(entries_of(tx_mask), planes, 64, a);
-  bitslice->resolve_batch(tx_mask, planes, 64, b);
+  bitslice->resolve_lanes(active_list(tx_mask), planes, 64, view, a);
+  bitslice->resolve_lanes(all_n, planes, 64, view, b);
   EXPECT_EQ(a.active_listeners, want_batch);
   EXPECT_EQ(b.active_listeners, want_batch);
   EXPECT_LT(a.active_listeners, n);
 }
 
-// Phase attribution: list-driven rounds report their time in
-// enqueue/drain (+ recover when senders are requested), never in the
-// mask-driven traverse/output phases — and mask-driven rounds on the same
-// medium the other way round; mask-only rounds skip recovery entirely.
+// Phase attribution: every round enters as a list and reports its time in
+// traverse/output (+ recover when senders are identified); enqueue/drain
+// stay 0. kAuto's constant-plane fold skips sender recovery.
 TEST(MediumSparse, PhaseTimersAttribution) {
   util::Rng rng(97);
   const Graph g = graph::gnp(80, 0.1, rng);
   const NodeId n = g.node_count();
   // Sparse-tail shape, so the round takes the scatter path and both the
   // traversal and the output scan run as separate phases.
-  std::vector<std::uint64_t> tx_mask = make_round(n, 64, 0.5, 4, rng);
-  const std::vector<ActiveTx> entries = entries_of(tx_mask);
+  const std::vector<ActiveTx> entries =
+      active_list(make_round(n, 64, 0.5, 4, rng));
   std::vector<Payload> planes(n);
   for (NodeId v = 0; v < n; ++v) planes[v] = v + 1;
+  std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
+  const KnowledgePlanes view = KnowledgePlanes::lane_major(best, n);
   auto medium = make_medium(MediumKind::kBitslice, g,
                             CollisionModel::kNoDetection);
   BatchOutcome out;
   for (int round = 0; round < 3; ++round) {
-    medium->resolve_batch_active(entries, planes, 64, out);
+    medium->resolve_lanes(entries, planes, 64, view, out);
   }
   const PhaseTimers& t = medium->phase_timers();
   EXPECT_EQ(t.rounds, 3u);
   EXPECT_EQ(t.rowscan_rounds, 3u);
   EXPECT_EQ(t.idplane_rounds, 0u);
-  EXPECT_EQ(t.traverse_ns, 0u);
-  EXPECT_EQ(t.output_ns, 0u);
-  EXPECT_GT(t.enqueue_ns, 0u);
-  EXPECT_GT(t.drain_ns, 0u);
+  EXPECT_GT(t.traverse_ns, 0u);
+  EXPECT_GT(t.output_ns, 0u);
+  EXPECT_EQ(t.enqueue_ns, 0u);
+  EXPECT_EQ(t.drain_ns, 0u);
   EXPECT_GT(t.active_listeners, 0u);
 
+  // The single-instance facade rides the same round.
   medium->reset_phase_timers();
   EXPECT_EQ(medium->phase_timers().rounds, 0u);
   EXPECT_EQ(medium->phase_timers().active_listeners, 0u);
-  medium->resolve_batch_active(entries, planes, 64, out,
-                               /*with_senders=*/false);
+  SparseOutcome sparse;
+  medium->resolve(std::vector<NodeId>{0, 1}, std::vector<Payload>{5, 6},
+                  sparse);
   EXPECT_EQ(medium->phase_timers().rounds, 1u);
-  EXPECT_EQ(medium->phase_timers().rowscan_rounds, 0u);
-  EXPECT_EQ(medium->phase_timers().idplane_rounds, 0u);
-  EXPECT_EQ(medium->phase_timers().recover_ns, 0u);
-
-  // The same round through the dense entry reports traverse/output only.
-  medium->reset_phase_timers();
-  medium->resolve_batch(tx_mask, planes, 64, out, /*with_senders=*/false);
-  EXPECT_GT(medium->phase_timers().traverse_ns, 0u);
+  EXPECT_EQ(medium->phase_timers().rowscan_rounds, 1u);
   EXPECT_EQ(medium->phase_timers().enqueue_ns, 0u);
   EXPECT_EQ(medium->phase_timers().drain_ns, 0u);
 
-  // kAuto's constant-plane max-fold shortcut runs on the list path too.
+  // kAuto's constant-plane max-fold: no sender recovery, no row scan.
   medium->reset_phase_timers();
-  std::vector<Payload> shared(n, 9);
-  std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
-  BatchOutcome fold_out;
-  medium->resolve_batch_max_active(entries, shared, 64,
-                                   KnowledgePlanes::lane_major(best, n),
-                                   fold_out);
+  const std::vector<Payload> shared(n, 9);
+  medium->resolve_lanes(entries, shared, 64, view, out);
   EXPECT_EQ(medium->phase_timers().constfold_rounds, 1u);
   EXPECT_EQ(medium->phase_timers().rowscan_rounds, 0u);
+  EXPECT_GT(medium->phase_timers().traverse_ns, 0u);
 }
 
 // The frontier and sharded backends are gone: their names are no longer

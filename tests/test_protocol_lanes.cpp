@@ -163,6 +163,40 @@ TEST(ProtocolLanes, RoundsAreExactCompletion) {
   }
 }
 
+// A BatchNetwork wider than the seed count: compete_batched accepts
+// seeds.size() in [1, net.lanes()], and 3 seeds on a 64-lane network must
+// run exactly like a 3-lane network — results and per-lane counters,
+// lane by lane, on both media.
+TEST(ProtocolLanes, FewerSeedsThanNetworkLanes) {
+  util::Rng grng(48);
+  const Graph g = graph::gnp(120, 0.07, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 4000;
+  const std::vector<CompeteSource> sources{{1, 70}, {30, 71}};
+  const auto seeds = make_seeds(3, 8001);
+  for (const radio::MediumKind medium :
+       {radio::MediumKind::kScalar, radio::MediumKind::kBitslice}) {
+    radio::BatchNetwork narrow(g, 3, radio::CollisionModel::kNoDetection,
+                               medium);
+    radio::BatchNetwork wide(g, radio::kMaxLanes,
+                             radio::CollisionModel::kNoDetection, medium);
+    const auto want = core::compete_batched(narrow, sources, params, seeds);
+    const auto got = core::compete_batched(wide, sources, params, seeds);
+    ASSERT_EQ(got.size(), 3u) << to_string(medium);
+    for (int l = 0; l < 3; ++l) {
+      expect_lane_equal(got[static_cast<std::size_t>(l)],
+                        want[static_cast<std::size_t>(l)], l);
+      EXPECT_EQ(wide.transmissions_by_lane()[l],
+                narrow.transmissions_by_lane()[l])
+          << to_string(medium) << " lane " << l;
+      EXPECT_EQ(wide.deliveries_by_lane()[l], narrow.deliveries_by_lane()[l])
+          << to_string(medium) << " lane " << l;
+    }
+    EXPECT_EQ(wide.total_transmissions(), narrow.total_transmissions());
+    EXPECT_EQ(wide.rounds_elapsed(), narrow.rounds_elapsed());
+  }
+}
+
 TEST(ProtocolLanes, BroadcastBatchedConvenienceBroadcasts) {
   util::Rng grng(44);
   const Graph g = graph::gnp(90, 0.1, grng);
