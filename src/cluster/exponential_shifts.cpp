@@ -46,9 +46,13 @@ struct QueueEntry {
   NodeId center;
   NodeId via;  // neighbour we'd adopt as tree parent
   std::uint32_t hops;
+  // Max-heap order: larger key, then smaller centre, then smaller node.
+  // A node's entries have strictly increasing keys, so the order is total
+  // and the pop sequence does not depend on heap internals.
   bool operator<(const QueueEntry& o) const {
     if (key != o.key) return key < o.key;
-    return center > o.center;  // ties: smaller centre id wins (max-heap)
+    if (center != o.center) return center > o.center;
+    return node > o.node;
   }
 };
 
@@ -85,7 +89,9 @@ Partition run_partition(const graph::Graph& g, double beta, const Scope& scope,
   // A max-Dijkstra over keys delta_c - dist(c, v) assigns every node the
   // centre maximising the shifted distance (exactly the MPX rule). Shifts
   // are continuous so ties have probability zero; we still break ties
-  // deterministically (smaller centre id) for bit-reproducible runs.
+  // deterministically (smaller centre id) for bit-reproducible runs. Nodes
+  // at equal key pop in id order, so a node's tree parent is its
+  // smallest-id neighbour one layer up in the same cluster.
   std::priority_queue<QueueEntry> pq;
   std::vector<double> best_key(n, -std::numeric_limits<double>::infinity());
   for (NodeId v = 0; v < n; ++v) {

@@ -112,7 +112,9 @@ TEST(Compete, StatsReflectActivity) {
 
 // Exact outcomes over a small grid. A change to how the engine does its
 // per-round bookkeeping must reproduce every round, delivery and coin flip;
-// only a deliberate change of behaviour re-records this table. Families:
+// only a deliberate change of behaviour re-records this table (last: the
+// partition's explicit smallest-id parent rule, which reorders
+// TreeSchedule child lists on gnp and grid). Families:
 // gnp n=256 (average degree 8, graph seed 17), cliquepath n=128 d=32,
 // grid 12x12; sources {0: 3, n/2: 11}.
 TEST(Compete, OutcomesPinnedAcrossSeeds) {
@@ -129,14 +131,14 @@ TEST(Compete, OutcomesPinnedAcrossSeeds) {
     std::array<std::uint64_t, 7> background_stats;
   };
   static const Pinned kPinned[] = {
-      {0, false, 1, true, 352, 256, {88, 88, 6, 657, 295, 336, 56}, {88, 88, 3, 1343, 149, 130, 1}},
-      {0, false, 2, true, 128, 256, {32, 32, 1, 236, 0, 47, 24}, {32, 32, 2, 329, 21, 0, 0}},
-      {0, false, 3, true, 224, 256, {56, 56, 10, 168, 94, 6, 0}, {56, 56, 2, 572, 70, 0, 0}},
-      {0, false, 4, true, 288, 256, {72, 72, 8, 391, 161, 269, 51}, {72, 72, 3, 568, 147, 305, 23}},
-      {0, true, 1, true, 928, 256, {232, 232, 2, 214, 0, 0, 0}, {232, 232, 1, 272, 0, 77, 0}},
-      {0, true, 2, true, 704, 256, {176, 176, 1, 60, 0, 0, 0}, {176, 176, 1, 268, 0, 0, 0}},
-      {0, true, 3, true, 704, 256, {176, 176, 5, 175, 0, 22, 1}, {176, 176, 1, 240, 0, 347, 15}},
-      {0, true, 4, true, 640, 256, {160, 160, 4, 33, 0, 0, 0}, {160, 160, 2, 349, 0, 614, 9}},
+      {0, false, 1, true, 352, 256, {88, 88, 6, 638, 284, 314, 55}, {88, 88, 3, 1319, 148, 130, 1}},
+      {0, false, 2, true, 128, 256, {32, 32, 1, 236, 0, 50, 24}, {32, 32, 2, 330, 21, 0, 0}},
+      {0, false, 3, true, 224, 256, {56, 56, 10, 163, 89, 6, 0}, {56, 56, 2, 573, 76, 0, 0}},
+      {0, false, 4, true, 288, 256, {72, 72, 8, 404, 150, 271, 54}, {72, 72, 3, 565, 150, 315, 16}},
+      {0, true, 1, true, 704, 256, {176, 176, 2, 36, 0, 0, 0}, {176, 176, 1, 272, 0, 0, 0}},
+      {0, true, 2, true, 704, 256, {176, 176, 1, 66, 0, 0, 0}, {176, 176, 1, 271, 0, 0, 0}},
+      {0, true, 3, true, 704, 256, {176, 176, 5, 176, 0, 22, 1}, {176, 176, 1, 249, 0, 320, 7}},
+      {0, true, 4, true, 640, 256, {160, 160, 4, 32, 0, 0, 0}, {160, 160, 2, 369, 0, 614, 9}},
       {1, false, 1, true, 576, 128, {144, 144, 14, 1158, 108, 305, 34}, {144, 144, 5, 736, 148, 271, 51}},
       {1, false, 2, true, 192, 128, {48, 48, 6, 393, 8, 0, 0}, {48, 48, 2, 156, 42, 12, 0}},
       {1, false, 3, true, 288, 128, {72, 72, 12, 671, 0, 126, 0}, {72, 72, 3, 275, 122, 269, 43}},
@@ -145,14 +147,14 @@ TEST(Compete, OutcomesPinnedAcrossSeeds) {
       {1, true, 2, true, 544, 128, {136, 136, 6, 469, 0, 480, 13}, {136, 136, 2, 187, 0, 194, 8}},
       {1, true, 3, true, 608, 128, {152, 152, 9, 294, 0, 420, 48}, {152, 152, 2, 197, 0, 266, 37}},
       {1, true, 4, true, 704, 128, {176, 176, 15, 236, 0, 367, 41}, {176, 176, 2, 166, 0, 244, 9}},
-      {2, false, 1, true, 256, 144, {64, 64, 4, 507, 54, 10, 2}, {64, 64, 3, 432, 34, 19, 5}},
-      {2, false, 2, true, 224, 144, {56, 56, 6, 299, 34, 4, 0}, {56, 56, 2, 335, 21, 46, 10}},
-      {2, false, 3, true, 320, 144, {80, 80, 20, 504, 29, 155, 22}, {80, 80, 3, 266, 60, 174, 14}},
-      {2, false, 4, true, 352, 144, {88, 88, 35, 568, 103, 253, 29}, {88, 88, 3, 367, 78, 199, 17}},
-      {2, true, 1, true, 736, 144, {184, 184, 2, 256, 0, 153, 11}, {184, 184, 2, 232, 0, 160, 0}},
-      {2, true, 2, true, 608, 144, {152, 152, 4, 252, 0, 221, 7}, {152, 152, 2, 188, 0, 164, 2}},
-      {2, true, 3, true, 800, 144, {200, 200, 10, 280, 0, 350, 14}, {200, 200, 2, 124, 0, 249, 12}},
-      {2, true, 4, true, 896, 144, {224, 224, 21, 311, 0, 439, 18}, {224, 224, 2, 134, 0, 335, 6}}
+      {2, false, 1, true, 256, 144, {64, 64, 4, 509, 60, 14, 4}, {64, 64, 3, 433, 35, 19, 5}},
+      {2, false, 2, true, 256, 144, {64, 64, 8, 455, 48, 4, 0}, {64, 64, 3, 379, 37, 49, 10}},
+      {2, false, 3, true, 320, 144, {80, 80, 20, 503, 24, 114, 11}, {80, 80, 3, 223, 60, 154, 9}},
+      {2, false, 4, true, 352, 144, {88, 88, 35, 582, 106, 245, 34}, {88, 88, 3, 372, 77, 197, 20}},
+      {2, true, 1, true, 736, 144, {184, 184, 2, 256, 0, 159, 15}, {184, 184, 2, 231, 0, 175, 0}},
+      {2, true, 2, true, 512, 144, {128, 128, 4, 229, 0, 49, 5}, {128, 128, 2, 262, 0, 0, 0}},
+      {2, true, 3, true, 864, 144, {216, 216, 15, 369, 0, 364, 20}, {216, 216, 2, 129, 0, 272, 11}},
+      {2, true, 4, true, 992, 144, {248, 248, 21, 314, 0, 460, 19}, {248, 248, 2, 200, 0, 380, 9}}
   };
   const sim::Instance instances[] = {
       sim::make_gnp_instance(256, 8.0 / 255, 17, 1),

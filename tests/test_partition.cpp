@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "cluster/partition_stats.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/pargen.hpp"
+#include "sim/instances.hpp"
 #include "util/math.hpp"
 
 namespace radiocast::cluster {
@@ -28,6 +33,37 @@ graph::Graph make_gnp(util::Rng& rng) { return graph::gnp(400, 0.015, rng); }
 graph::Graph make_poc(util::Rng&) { return graph::path_of_cliques(40, 10); }
 graph::Graph make_tree(util::Rng& rng) {
   return graph::random_recursive_tree(400, rng);
+}
+
+/// Checks that hold for any exact MPX implementation, whatever its data
+/// structure. `linked(u, w)` is the partition's adjacency (both ends in
+/// scope, same region).
+///  * Parent rule: a non-centre's parent is its smallest-id linked
+///    neighbour in the same cluster one hop closer to the centre.
+///  * Max-rule certificate: with key(v) = delta_{center(v)} - dist(v), no
+///    node's own shift beats its key, and no linked neighbour offers a
+///    better one (key(w) >= key(u) - 1 on every linked edge).
+template <typename Linked>
+void expect_mpx_rules(const graph::Graph& g, const Partition& p,
+                      Linked linked) {
+  constexpr double kSlack = 1e-9;
+  auto key = [&](graph::NodeId v) {
+    return p.delta[p.center[v]] - static_cast<double>(p.dist_to_center[v]);
+  };
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    if (!p.in_scope(v)) continue;
+    EXPECT_GE(key(v), p.delta[v] - kSlack) << "node " << v;
+    graph::NodeId want = v;
+    for (graph::NodeId u : g.neighbors(v)) {
+      if (!linked(u, v)) continue;
+      EXPECT_GE(key(v), key(u) - 1.0 - kSlack) << "edge " << u << "-" << v;
+      if (want == v && p.center[u] == p.center[v] &&
+          p.dist_to_center[u] + 1 == p.dist_to_center[v]) {
+        want = u;  // rows are sorted: the first match is the smallest id
+      }
+    }
+    EXPECT_EQ(p.parent[v], want) << "node " << v;
+  }
 }
 
 class PartitionInvariants
@@ -62,6 +98,7 @@ TEST_P(PartitionInvariants, DefinitionHolds) {
     EXPECT_EQ(p.center[u], p.center[v]);
     EXPECT_EQ(p.dist_to_center[u] + 1, p.dist_to_center[v]);
   }
+  expect_mpx_rules(g, p, [](graph::NodeId, graph::NodeId) { return true; });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -152,6 +189,25 @@ TEST(PartitionMasked, RespectsMask) {
   for (graph::NodeId v = 5; v < 10; ++v) {
     EXPECT_GE(p.center[v], 5u);
   }
+  expect_mpx_rules(g, p, [&](graph::NodeId u, graph::NodeId v) {
+    return mask[u] && mask[v];
+  });
+}
+
+TEST(PartitionMasked, MpxRulesHoldOnRandomMask) {
+  util::Rng rng(17);
+  const graph::Graph g = graph::random_geometric(500, 0.08, rng);
+  std::vector<std::uint8_t> mask(g.node_count());
+  for (auto& m : mask) m = rng.bernoulli(0.8) ? 1 : 0;
+  for (double beta : {1.0, 0.2, 0.02}) {
+    const Partition p = partition_masked(g, beta, mask, rng);
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(p.in_scope(v), mask[v] != 0);
+    }
+    expect_mpx_rules(g, p, [&](graph::NodeId u, graph::NodeId v) {
+      return mask[u] && mask[v];
+    });
+  }
 }
 
 TEST(PartitionMasked, SizeMismatchThrows) {
@@ -174,6 +230,9 @@ TEST(PartitionRegions, FineClustersNeverCrossRegions) {
   }
   EXPECT_TRUE(centers_consistent(fine));
   EXPECT_TRUE(distances_consistent(g, fine));
+  expect_mpx_rules(g, fine, [&](graph::NodeId u, graph::NodeId v) {
+    return coarse.center[u] == coarse.center[v];
+  });
 }
 
 TEST(PartitionRegions, SizeMismatchThrows) {
@@ -234,6 +293,89 @@ TEST(Theorem22Smoke, ExpectedDistanceWithinBoundForMostJ) {
   // Theorem 2.2 promises probability >= 0.55 over j; with constant 8 the
   // scaled-down version should pass for at least half the j values.
   EXPECT_GE(2 * good, total);
+}
+
+// Byte-level pin of Partition(beta): an FNV-1a digest of centre, depth,
+// parent, shift and the caller's next RNG draw for plain, masked and
+// region partitions over seven graph families at four betas. Any change to
+// the shift draw order, the centre tie rule or the parent tie rule moves a
+// digest; an equivalent re-implementation of the clustering does not.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+void add_partition(Fnv1a& f, const Partition& p, util::Rng& rng) {
+  for (graph::NodeId v = 0; v < p.node_count(); ++v) {
+    f.add(p.center[v]);
+    f.add(p.dist_to_center[v]);
+    f.add(p.parent[v]);
+    f.add(std::bit_cast<std::uint64_t>(p.delta[v]));
+  }
+  f.add(rng());
+}
+
+std::string hex(std::uint64_t x) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(x));
+  return buf;
+}
+
+TEST(Partition, GoldenDigestAcrossFamilies) {
+  struct Golden {
+    const char* name;
+    graph::Graph (*make)();
+    std::uint64_t digest;
+  };
+  namespace pg = graph::pargen;
+  const Golden kGolden[] = {
+      {"gnp", [] { return pg::gnp(600, 10.0 / 600, 41); },
+       0xd61cb6d3b407e7d2ULL},
+      {"rgg", [] { return pg::random_geometric(600, 0.07, 42); },
+       0x9d1ead0b0f7edb43ULL},
+      {"ba", [] { return pg::barabasi_albert(600, 3, 43); },
+       0xccb14889821b9601ULL},
+      {"chung-lu", [] { return pg::chung_lu(600, 2.5, 8.0, 44); },
+       0xff4b8a9eaddd6f71ULL},
+      {"grid", [] { return graph::grid(20, 20); }, 0xe4b5506e200e3077ULL},
+      {"cliquepath", [] { return sim::make_cliquepath_instance(256, 64).g; },
+       0x4386d6609c12f20aULL},
+      {"tree",
+       [] {
+         util::Rng rng(45);
+         return graph::random_recursive_tree(400, rng);
+       },
+       0x67dee8cfe68efc31ULL},
+  };
+  for (const Golden& fam : kGolden) {
+    const graph::Graph g = fam.make();
+    const graph::NodeId n = g.node_count();
+    // A fixed mask (about 1 node in 5 out) and fixed regions (three
+    // interleaved classes plus out-of-scope nodes), both cutting edges.
+    std::vector<std::uint8_t> mask(n);
+    std::vector<graph::NodeId> region(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const std::uint64_t h = util::mix_seed(99, v);
+      mask[v] = h % 5 != 0 ? 1 : 0;
+      region[v] = h % 7 == 0 ? graph::kInvalidNode
+                             : static_cast<graph::NodeId>((h >> 8) % 3);
+    }
+    Fnv1a f;
+    std::uint64_t seed = 0;
+    for (double beta : {1.0, 0.25, 0.0625, 0.005}) {
+      util::Rng rng(++seed);
+      add_partition(f, partition(g, beta, rng), rng);
+      add_partition(f, partition_masked(g, beta, mask, rng), rng);
+      add_partition(f, partition_regions(g, beta, region, rng), rng);
+    }
+    EXPECT_EQ(hex(f.h), hex(fam.digest)) << fam.name;
+  }
 }
 
 }  // namespace
