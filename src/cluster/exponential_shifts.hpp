@@ -2,7 +2,7 @@
 // (Lemma 2.1 of Czumaj-Davies; originally MPX, SPAA 2013).
 //
 // Every node v draws delta_v ~ Exp(beta); node u joins the cluster of the
-// centre c maximising delta_c - dist(c, u). Key properties the paper
+// centre c maximising key = delta_c - dist(c, u). Key properties the paper
 // consumes (all validated by tests and the bench suite):
 //   * clusters have strong diameter O(log n / beta) whp       (Lemma 2.1)
 //   * each edge is cut with probability O(beta)               (Lemma 2.1)
@@ -16,6 +16,25 @@
 // rounds (Lemma 2.1); we compute the partition centrally with the *exact*
 // random process and charge that round cost via `precompute_rounds` (see
 // DESIGN.md "fidelity decisions" #1).
+//
+// Algorithm. The shifts are drawn in node order over the in-scope nodes
+// (so the RNG stream is one exponential per in-scope node). With unit
+// edge weights a node settled at key k only offers k - 1 to its
+// neighbours, so the keys are bucketed into integer layers below the top
+// shift: own shifts are counting-sorted into their layers, and layer b
+// (1) settles every node listed there with its best candidate and
+// (2) offers key - 1.0 to each unsettled linked neighbour, which lands in
+// a later layer, so a layer never feeds itself. Cost O(n + m + max delta)
+// time, with max delta ~ ln n / beta whp, instead of a heap Dijkstra's
+// O((n + m) log n). Keys are chained doubles (parent key - 1.0), so the
+// result is bit-reproducible.
+//
+// Tie rules (ties have probability zero but are fixed for determinism):
+//   * centre: a node's own shift beats an equal offered key; between
+//     offers the larger parent key wins, then the smaller centre id;
+//   * parent: among equal offers from one centre, the smallest-id
+//     neighbour. So a non-centre's parent is its smallest-id linked
+//     neighbour in the same cluster one hop closer to the centre.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +59,9 @@ struct Partition {
   /// tree (== graph distance to centre within the cluster).
   std::vector<std::uint32_t> dist_to_center;
   /// Per node: parent on the adopted shifted-BFS tree (centres point to
-  /// themselves). The tree is intra-cluster by construction and is the
-  /// skeleton the Lemma 2.3 schedules broadcast along.
+  /// themselves): the smallest-id linked neighbour in the same cluster one
+  /// hop closer to the centre. The tree is intra-cluster by construction
+  /// and is the skeleton the Lemma 2.3 schedules broadcast along.
   std::vector<NodeId> parent;
   /// Per node: the exponential shift it drew.
   std::vector<double> delta;

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -59,6 +60,13 @@ void expect_well_formed(const Graph& g) {
   }
 }
 
+/// A generated instance as the experiments consume it: well formed and a
+/// single component once connectivity repair has run.
+void expect_valid_instance(const Graph& g) {
+  expect_well_formed(g);
+  EXPECT_TRUE(is_connected(g));
+}
+
 // n chosen to span several 4096-node chunks so the parallel paths (and
 // the chunk-boundary arithmetic) genuinely execute.
 constexpr NodeId kN = 12'000;
@@ -93,6 +101,29 @@ TEST(Pargen, ChungLuByteIdenticalAcrossThreadCounts) {
   expect_identical(one, four);
   expect_well_formed(one);
   EXPECT_TRUE(is_connected(one));
+}
+
+// Every family, at 1 and 4 generation threads, across sparse settings
+// that leave many components for the repair to join and denser ones that
+// leave few.
+TEST(Pargen, EveryFamilyYieldsValidInstances) {
+  for (int threads : {1, 4}) {
+    const GenOptions opts{.threads = threads};
+    for (std::uint64_t seed : {3, 11}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " seed=" + std::to_string(seed));
+      for (double deg : {0.5, 2.0, 12.0}) {
+        expect_valid_instance(gnp(5'000, deg / 4'999, seed, opts));
+        expect_valid_instance(chung_lu(5'000, 2.5, deg + 1.0, seed, opts));
+      }
+      for (double radius : {0.005, 0.02}) {
+        expect_valid_instance(random_geometric(5'000, radius, seed, opts));
+      }
+      for (std::uint32_t attach : {1u, 3u}) {
+        expect_valid_instance(barabasi_albert(5'000, attach, seed, opts));
+      }
+    }
+  }
 }
 
 TEST(Pargen, DifferentSeedsDifferentGraphs) {

@@ -90,14 +90,8 @@ TEST_P(PartitionInvariants, DefinitionHolds) {
   EXPECT_TRUE(clusters_connected(g, p));
   // dist_to_center is the true intra-cluster BFS distance.
   EXPECT_TRUE(distances_consistent(g, p));
-  // Tree parents are actual neighbours within the same cluster.
-  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    const graph::NodeId u = p.parent[v];
-    if (u == v) continue;
-    EXPECT_TRUE(g.has_edge(u, v));
-    EXPECT_EQ(p.center[u], p.center[v]);
-    EXPECT_EQ(p.dist_to_center[u] + 1, p.dist_to_center[v]);
-  }
+  // Tree parents are the smallest-id neighbours one hop up in the same
+  // cluster, and the MPX max rule holds.
   expect_mpx_rules(g, p, [](graph::NodeId, graph::NodeId) { return true; });
 }
 
