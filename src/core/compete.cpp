@@ -21,13 +21,12 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
   result.best.assign(n, radio::kNoPayload);
   for (const auto& s : sources) {
     if (s.node >= n) throw std::out_of_range("compete: source out of range");
-    if (result.best[s.node] == radio::kNoPayload ||
-        s.value > result.best[s.node]) {
-      result.best[s.node] = s.value;
+    if (s.value == radio::kNoPayload) {
+      throw std::invalid_argument(
+          "compete: source value is the kNoPayload sentinel");
     }
-    if (result.winner == radio::kNoPayload || s.value > result.winner) {
-      result.winner = s.value;
-    }
+    radio::fold_max(result.best[s.node], s.value);
+    radio::fold_max(result.winner, s.value);
   }
   if (sources.empty()) {
     result.success = true;  // vacuous: nothing to propagate

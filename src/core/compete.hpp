@@ -35,6 +35,8 @@ namespace radiocast::core {
 
 struct CompeteSource {
   graph::NodeId node = 0;
+  /// Any value but radio::kNoPayload, the "nothing learnt" sentinel
+  /// (compete and compete_batched throw std::invalid_argument on it).
   radio::Payload value = 0;
 };
 

@@ -43,25 +43,15 @@ std::vector<CompeteLaneResult> compete_batched(
 
   std::vector<CompeteLaneResult> results(static_cast<std::size_t>(lanes));
   radio::Payload winner = radio::kNoPayload;
-  // Node-major knowledge planes: node v owns best[v*lanes, (v+1)*lanes),
-  // so the medium's max-fold writes each listener's lane words as one
-  // contiguous run (see KnowledgePlanes).
-  std::vector<radio::Payload> best(static_cast<std::size_t>(lanes) * n,
-                                   radio::kNoPayload);
-  const radio::KnowledgePlanes bestk =
-      radio::KnowledgePlanes::node_major(best, n);
-  // Bit l of informed[v]: v knows something in lane l (and so relays).
-  std::vector<std::uint64_t> informed(n, 0);
   for (const auto& s : sources) {
     if (s.node >= n) {
       throw std::out_of_range("compete_batched: source out of range");
     }
-    for (int l = 0; l < lanes; ++l) {
-      radio::Payload& b = bestk.at(l, s.node);
-      if (b == radio::kNoPayload || s.value > b) b = s.value;
+    if (s.value == radio::kNoPayload) {
+      throw std::invalid_argument(
+          "compete_batched: source value is the kNoPayload sentinel");
     }
-    informed[s.node] = lane_mask;
-    if (winner == radio::kNoPayload || s.value > winner) winner = s.value;
+    radio::fold_max(winner, s.value);
   }
   auto finish_lane = [&](int l, bool success, std::uint64_t rounds) {
     CompeteLaneResult& r = results[static_cast<std::size_t>(l)];
@@ -79,6 +69,43 @@ std::vector<CompeteLaneResult> compete_batched(
     return results;
   }
 
+  // Single-valued runs (a broadcast, a binary-search LE phase): the only
+  // value in flight is the winner, so a node holds it in exactly the lanes
+  // it is informed in. The medium relays one shared plane of n copies of
+  // it, which it proves constant and folds with no sender recovery, into
+  // one shared scratch word per node that is never read: best[] is read
+  // off the informed masks instead. Multi-valued runs relay and fold
+  // node-major knowledge planes: node v owns best[v*lanes, (v+1)*lanes),
+  // so the medium's max-fold writes each listener's lane words as one
+  // contiguous run (see KnowledgePlanes).
+  const bool single_valued =
+      std::all_of(sources.begin(), sources.end(),
+                  [&](const CompeteSource& s) { return s.value == winner; });
+  std::vector<radio::Payload> best(
+      single_valued ? n : static_cast<std::size_t>(lanes) * n,
+      radio::kNoPayload);
+  std::vector<radio::Payload> relayed;
+  if (single_valued) relayed.assign(n, winner);
+  const radio::KnowledgePlanes bestk =
+      single_valued ? radio::KnowledgePlanes::shared(best)
+                    : radio::KnowledgePlanes::node_major(best, n);
+  const radio::PayloadPlanes planes =
+      single_valued ? radio::PayloadPlanes(relayed)
+                    : radio::PayloadPlanes::node_major(best, n);
+  // Bit l of informed[v]: v knows something in lane l (and so relays).
+  std::vector<std::uint64_t> informed(n, 0);
+  for (const auto& s : sources) {
+    informed[s.node] = lane_mask;
+    if (single_valued) continue;
+    for (int l = 0; l < lanes; ++l) {
+      radio::fold_max(bestk.at(l, s.node), s.value);
+    }
+  }
+  auto holds_winner = [&](int l, NodeId v) {
+    return single_valued ? ((informed[v] >> l) & 1) != 0
+                         : bestk.at(l, v) == winner;
+  };
+
   std::vector<util::Rng> rngs;
   rngs.reserve(static_cast<std::size_t>(lanes));
   for (const std::uint64_t seed : seeds) rngs.emplace_back(seed);
@@ -95,7 +122,7 @@ std::vector<CompeteLaneResult> compete_batched(
   std::vector<std::uint64_t> knows(n, 0);
   NodeId source_knowing = 0;  // sources are the same in every lane
   for (NodeId v = 0; v < n; ++v) {
-    if (bestk.at(0, v) == winner) {
+    if (holds_winner(0, v)) {
       knows[v] = lane_mask;
       ++source_knowing;
     }
@@ -109,7 +136,6 @@ std::vector<CompeteLaneResult> compete_batched(
 
   std::vector<std::uint64_t> participates(n, 0);
   radio::BatchOutcome out;
-  const radio::PayloadPlanes planes = radio::PayloadPlanes::node_major(best, n);
   std::uint64_t round = 0;
   std::uint32_t step = 1;  // 1-based density index within the cycle
   std::uint32_t cycle = 0;  // completed density cycles
@@ -135,7 +161,7 @@ std::vector<CompeteLaneResult> compete_batched(
       for (std::uint64_t scan = dm.lanes & ~knows[dm.node]; scan != 0;
            scan &= scan - 1) {
         const int l = std::countr_zero(scan);
-        if (bestk.at(l, dm.node) != winner) continue;
+        if (!holds_winner(l, dm.node)) continue;
         knows[dm.node] |= std::uint64_t{1} << l;
         if (++knowing[static_cast<std::size_t>(l)] == n) {
           completed |= std::uint64_t{1} << l;
@@ -165,7 +191,11 @@ std::vector<CompeteLaneResult> compete_batched(
     CompeteLaneResult& r = results[static_cast<std::size_t>(l)];
     r.informed = knowing[static_cast<std::size_t>(l)];
     r.best.resize(n);
-    for (NodeId v = 0; v < n; ++v) r.best[v] = bestk.at(l, v);
+    for (NodeId v = 0; v < n; ++v) {
+      r.best[v] = single_valued
+                      ? (holds_winner(l, v) ? winner : radio::kNoPayload)
+                      : bestk.at(l, v);
+    }
   }
   return results;
 }

@@ -11,11 +11,24 @@
 // densities cycling over 2^-1 .. 2^-cycle_depth, with (CR) one
 // full-depth cycle every full_cycle_every cycles to clear congested
 // spots, until every node knows max(S) or the round budget runs out.
-// Each lane carries its own knowledge plane (best), its own RNG stream,
-// and its own termination clock; per-lane payload planes let a node relay
-// different values in different lanes. Completion is tracked exactly: a
-// lane stops in the round its last node learns max(S), so `rounds` is the
-// exact completion round.
+// Each lane carries its own knowledge, its own RNG stream, and its own
+// termination clock. What the medium relays depends on the source values:
+//
+//   * single-valued (every source carries max(S): a broadcast, the BGI/CR
+//     rows, a binary-search LE phase) — every informed node holds max(S)
+//     in every lane it is informed in, so transmitters relay one shared,
+//     lane-invariant plane of n copies of it; the bitslice medium proves
+//     each round constant and const-folds it, with no sender recovery,
+//     into one shared scratch plane, and best[] is read off the per-lane
+//     informed masks;
+//   * multi-valued — transmitters relay their node-major best planes, so a
+//     node can relay different values in different lanes, and the medium
+//     recovers each delivery's sender to fold its payload.
+//
+// The best[] planes come out byte-identical either way. Completion is
+// tracked exactly: a lane stops in the round its last node learns max(S),
+// so `rounds` is the exact completion round. Source values must not be
+// radio::kNoPayload (std::invalid_argument).
 //
 // Determinism contract (pinned by tests/test_protocol_lanes.cpp): lane l
 // of compete_batched(..., seeds) is byte-identical — success, rounds,

@@ -385,17 +385,15 @@ void BitsliceMedium::run_round(PayloadPlanes payload, int lanes,
                const Payload p = payload.at(0, u);
                do {
                  const int lane = std::countr_zero(hit);
-                 Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-                 if (b == kNoPayload || p > b) b = p;
+                 fold_max(brow[static_cast<std::size_t>(lane) * bls], p);
                  hit &= hit - 1;
                } while (hit != 0);
              } else {
                const Payload* const prow = payload.row(u);
                do {
                  const int lane = std::countr_zero(hit);
-                 Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-                 const Payload p = prow[static_cast<std::size_t>(lane) * pls];
-                 if (b == kNoPayload || p > b) b = p;
+                 fold_max(brow[static_cast<std::size_t>(lane) * bls],
+                          prow[static_cast<std::size_t>(lane) * pls]);
                  hit &= hit - 1;
                } while (hit != 0);
              }
@@ -410,8 +408,7 @@ void BitsliceMedium::run_round(PayloadPlanes payload, int lanes,
     std::uint64_t hit = bls == 0 ? dm.lanes & (~dm.lanes + 1) : dm.lanes;
     do {
       const int lane = std::countr_zero(hit);
-      Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-      if (b == kNoPayload || const_value > b) b = const_value;
+      fold_max(brow[static_cast<std::size_t>(lane) * bls], const_value);
       hit &= hit - 1;
     } while (hit != 0);
   }

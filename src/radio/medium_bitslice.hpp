@@ -10,6 +10,8 @@
 // are found. RecoveryStrategy::kAuto fuses that re-walk into the gather
 // traversal (the row is still in cache) and defers it to a pass over the
 // delivered listeners on scatter rounds; kRowScan pins the deferred pass.
+// Under kAuto a round whose transmitters all relay one value through a
+// shared plane (a single-valued Decay relay) recovers no senders at all.
 //
 // The traversal itself is transmitter-centric scatter (sparse rounds,
 // blocks in planes_) or listener-centric gather (dense rounds, blocks in
@@ -79,11 +81,15 @@ class BitsliceMedium final : public Medium {
   ///   kScanFused     — gather only: re-walk the row at emit time (kAuto's
   ///                    gather choice: the row and transmit masks were read
   ///                    one loop iteration ago)
-  ///   kConstFold     — the prologue proved every transmitter carries
+  ///   kConstFold     — kAuto only, on a lane-invariant payload plane:
+  ///                    the prologue proved every transmitter carries
   ///                    the same payload value, so the fold needs no
   ///                    sender identity at all: run_core recovers nothing
   ///                    and run_round folds that value over the delivered
-  ///                    masks
+  ///                    masks. Reached by fixed-value floods and by every
+  ///                    single-valued core::compete_batched run (a
+  ///                    broadcast, a binary-search LE phase), which relays
+  ///                    one shared plane of the winner
   enum class Recover : std::uint8_t { kScanDeferred, kScanFused, kConstFold };
 
   /// Where one traversal's listener output lands: `out` itself and the

@@ -171,8 +171,7 @@ void ScalarMedium::resolve_lanes(std::span<const ActiveTx> tx,
     for (const auto& d : lane_out_.deliveries) {
       if (agg_mask_[d.node] == 0) agg_touched_.push_back(d.node);
       agg_mask_[d.node] |= bit;
-      Payload& b = best.at(l, d.node);
-      if (b == kNoPayload || d.payload > b) b = d.payload;
+      fold_max(best.at(l, d.node), d.payload);
     }
     for (const graph::NodeId v : lane_out_.collided_nodes) {
       out.collisions.push_back({v, bit});

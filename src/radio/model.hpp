@@ -18,6 +18,12 @@ using Payload = std::uint64_t;
 /// Sentinel for "no payload".
 constexpr Payload kNoPayload = std::numeric_limits<Payload>::max();
 
+/// The max-fold every relay uses: b = max(b, p), with kNoPayload in `b`
+/// meaning "nothing yet" (so any p replaces it). Branchless: kNoPayload + 1
+/// wraps to 0, which is <= every p, and for any other b, b + 1 <= p is
+/// p > b. Same result as `if (b == kNoPayload || p > b) b = p;`.
+constexpr void fold_max(Payload& b, Payload p) { b = b + 1 <= p ? p : b; }
+
 /// Round counter.
 using Round = std::uint64_t;
 

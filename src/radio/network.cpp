@@ -93,8 +93,7 @@ void Network::step_lanes(std::span<const ActiveTx> tx, PayloadPlanes payload,
   out.active_listeners = sparse_scratch_.active_listeners;
   for (const auto& d : sparse_scratch_.deliveries) {
     out.delivered.push_back({d.node, 1});
-    Payload& b = best.at(0, d.node);
-    if (b == kNoPayload || d.payload > b) b = d.payload;
+    fold_max(best.at(0, d.node), d.payload);
   }
   for (const graph::NodeId v : sparse_scratch_.collided_nodes) {
     out.collisions.push_back({v, 1});

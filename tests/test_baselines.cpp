@@ -129,6 +129,14 @@ TEST(DecayBroadcast, SourceOutOfRangeThrows) {
                std::out_of_range);
 }
 
+TEST(DecayBroadcast, SentinelSourceValueThrows) {
+  const graph::Graph g = graph::path(50);
+  const std::uint64_t seed[] = {8};
+  EXPECT_THROW(compete_batched(g, {{0, radio::kNoPayload}}, bgi_params(50),
+                               seed),
+               std::invalid_argument);
+}
+
 TEST(DecayBroadcast, MaxRoundsRespected) {
   const graph::Graph g = graph::path(500);
   core::BatchedCompeteParams p = bgi_params(500);

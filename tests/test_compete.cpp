@@ -67,6 +67,14 @@ TEST(Compete, SourceOutOfRangeThrows) {
                std::out_of_range);
 }
 
+// kNoPayload is the "nothing learnt" sentinel: a source carrying it would
+// read as already-known everywhere and "succeed" after 0 rounds.
+TEST(Compete, SentinelSourceValueThrows) {
+  const graph::Graph g = graph::path(50);
+  EXPECT_THROW(compete(g, 49, {{0, radio::kNoPayload}}, fast_params(), 1),
+               std::invalid_argument);
+}
+
 TEST(Compete, AllNodesAreSources) {
   const graph::Graph g = graph::grid(8, 8);
   std::vector<CompeteSource> sources;

@@ -27,6 +27,27 @@ std::vector<Payload> payloads(NodeId n, Payload base = 100) {
   return p;
 }
 
+// fold_max is the max-fold every relay uses, with kNoPayload as "nothing
+// yet"; it must match the spelled-out compare on the edge values.
+TEST(Model, FoldMaxEdgeValues) {
+  auto fold = [](Payload b, Payload p) {
+    fold_max(b, p);
+    return b;
+  };
+  EXPECT_EQ(fold(kNoPayload, 0), 0u);          // anything replaces "nothing"
+  EXPECT_EQ(fold(7, 7), 7u);                   // equal value
+  EXPECT_EQ(fold(7, 0), 7u);                   // p = 0 never wins a max
+  EXPECT_EQ(fold(7, kNoPayload - 1), kNoPayload - 1);
+  EXPECT_EQ(fold(7, kNoPayload), kNoPayload);  // the largest value
+  constexpr Payload kEdges[] = {0, 7, 8, kNoPayload - 1, kNoPayload};
+  for (const Payload b : kEdges) {
+    for (const Payload p : kEdges) {
+      const Payload want = (b == kNoPayload || p > b) ? p : b;
+      EXPECT_EQ(fold(b, p), want) << b << " <- " << p;
+    }
+  }
+}
+
 TEST(Network, SingleTransmitterDelivers) {
   // star: 0 center, 1..3 leaves
   const Graph g = graph::star(4);

@@ -197,6 +197,40 @@ TEST(ProtocolLanes, FewerSeedsThanNetworkLanes) {
   }
 }
 
+// Which fold the bitslice medium takes under kAuto. Single-valued runs (a
+// broadcast, a binary-search LE phase whose sources all carry 1) relay one
+// shared plane, so every round const-folds with no sender recovery;
+// multi-valued runs relay per-lane knowledge planes and recover senders
+// on every round.
+TEST(ProtocolLanes, SingleValueRelaysConstFold) {
+  util::Rng grng(49);
+  const Graph g = graph::gnp(150, 0.06, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 4000;
+  const auto seeds = make_seeds(64, 9001);
+  auto timers_of = [&](const std::vector<CompeteSource>& sources) {
+    radio::BatchNetwork net(g);
+    const auto lanes = core::compete_batched(net, sources, params, seeds);
+    for (const auto& lane : lanes) EXPECT_TRUE(lane.success);
+    const radio::PhaseTimers t = net.medium().phase_timers();
+    EXPECT_EQ(t.rounds, net.rounds_elapsed());
+    EXPECT_GT(t.rounds, 0u);
+    return t;
+  };
+
+  const radio::PhaseTimers broadcast = timers_of({{0, 77}});
+  EXPECT_EQ(broadcast.constfold_rounds, broadcast.rounds);
+  EXPECT_EQ(broadcast.rowscan_rounds, 0u);
+
+  const radio::PhaseTimers multi = timers_of({{2, 900}, {40, 901}, {77, 950}});
+  EXPECT_EQ(multi.rowscan_rounds, multi.rounds);
+  EXPECT_EQ(multi.constfold_rounds, 0u);
+
+  const radio::PhaseTimers le_phase = timers_of({{3, 1}, {60, 1}, {120, 1}});
+  EXPECT_EQ(le_phase.constfold_rounds, le_phase.rounds);
+  EXPECT_EQ(le_phase.rowscan_rounds, 0u);
+}
+
 TEST(ProtocolLanes, BroadcastBatchedConvenienceBroadcasts) {
   util::Rng grng(44);
   const Graph g = graph::gnp(90, 0.1, grng);
