@@ -5,27 +5,6 @@
 
 namespace radiocast::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
-  // Two rounds of splitmix over the concatenation-ish combination; enough to
-  // decorrelate seed/stream lattices in practice.
-  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1));
-  (void)splitmix64(s);
-  return splitmix64(s);
-}
-
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   // Standard seeding procedure: fill state with splitmix64 outputs. A state
   // of all zeros is impossible because splitmix64 is a bijection walked from
@@ -35,18 +14,6 @@ Rng::Rng(std::uint64_t seed) {
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 0x853C49E6748FEA9BULL;
   }
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform(std::uint64_t bound) {
@@ -76,19 +43,8 @@ std::int64_t Rng::uniform_in(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform(range));
 }
 
-double Rng::uniform_real() {
-  // 53 top bits -> double in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform_real(double lo, double hi) {
   return lo + (hi - lo) * uniform_real();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform_real() < p;
 }
 
 double Rng::exponential(double beta) {

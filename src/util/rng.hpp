@@ -16,11 +16,22 @@
 namespace radiocast::util {
 
 /// splitmix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Mix a seed with a stream identifier into an independent-looking seed.
 /// Used to derive per-node / per-phase sub-streams deterministically.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream);
+inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
+  // Two rounds of splitmix over the concatenation-ish combination; enough to
+  // decorrelate seed/stream lattices in practice.
+  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1));
+  (void)splitmix64(s);
+  return splitmix64(s);
+}
 
 /// xoshiro256** generator with a std::uniform_random_bit_generator-compatible
 /// interface plus the handful of distributions the simulator needs.
@@ -37,7 +48,17 @@ class Rng {
   }
 
   /// Raw 64 random bits.
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
@@ -47,13 +68,20 @@ class Rng {
   std::int64_t uniform_in(std::int64_t lo, std::int64_t hi);
 
   /// Uniform real in [0, 1).
-  double uniform_real();
+  double uniform_real() {
+    // 53 top bits -> double in [0,1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform real in [lo, hi).
   double uniform_real(double lo, double hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform_real() < p;
+  }
 
   /// Exponentially distributed real with rate `beta` (mean 1/beta).
   /// This is exactly the delta_v distribution of Partition(beta):
@@ -80,6 +108,10 @@ class Rng {
   Rng fork(std::uint64_t stream);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

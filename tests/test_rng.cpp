@@ -211,5 +211,39 @@ TEST(Splitmix64, KnownGolden) {
   EXPECT_EQ(first, 0xE220A8397B1DCDAFULL);
 }
 
+// The hot-path generator functions live inline in rng.hpp; these are their
+// first outputs for seed 42, recorded while they were out of line in
+// rng.cpp, so moving code between the two cannot shift any stream.
+TEST(Rng, GoldenStream) {
+  constexpr std::uint64_t kSplitmix[8] = {
+      0xBDD732262FEB6E95ULL, 0x28EFE333B266F103ULL, 0x47526757130F9F52ULL,
+      0x581CE1FF0E4AE394ULL, 0x09BC585A244823F2ULL, 0xDE4431FA3C80DB06ULL,
+      0x37E9671C45376D5DULL, 0xCCF635EE9E9E2FA4ULL};
+  constexpr std::uint64_t kMixSeed[8] = {
+      0x47526757130F9F52ULL, 0x6545D3B48B05C974ULL, 0xD898A231B906C08FULL,
+      0xDE4431FA3C80DB06ULL, 0x9E93AEBB9E3E4EEDULL, 0x20E92904C8C23DA4ULL,
+      0x751DF7B775A96370ULL, 0x38A8712A49CA13B5ULL};
+  constexpr std::uint64_t kRaw[8] = {
+      0x15780B2E0C2EC716ULL, 0x6104D9866D113A7EULL, 0xAE17533239E499A1ULL,
+      0xECB8AD4703B360A1ULL, 0xFDE6DC7FE2EC5E64ULL, 0xC50DA53101795238ULL,
+      0xB82154855A65DDB2ULL, 0xD99A2743EBE60087ULL};
+  constexpr double kReal[8] = {
+      0x1.5780b2e0c2ecp-4,  0x1.84136619b444ep-2, 0x1.5c2ea66473c93p-1,
+      0x1.d9715a8e0766cp-1, 0x1.fbcdb8ffc5d8bp-1, 0x1.8a1b4a6202f2ap-1,
+      0x1.7042a90ab4cbbp-1, 0x1.b3344e87d7ccp-1};
+  constexpr bool kBernoulli[8] = {true,  false, false, false,
+                                  false, false, false, false};
+  std::uint64_t state = 42;
+  Rng raw(42), real(42), coin(42);
+  for (int i = 0; i < 8; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(splitmix64(state), kSplitmix[i]);
+    EXPECT_EQ(mix_seed(42, static_cast<std::uint64_t>(i)), kMixSeed[i]);
+    EXPECT_EQ(raw(), kRaw[i]);
+    EXPECT_EQ(real.uniform_real(), kReal[i]);
+    EXPECT_EQ(coin.bernoulli(0.3), kBernoulli[i]);
+  }
+}
+
 }  // namespace
 }  // namespace radiocast::util
