@@ -23,8 +23,8 @@ namespace {
 
 /// One 64-node block's coin word for Bernoulli(2^-step): the AND of `step`
 /// raw words, exited early once zero (the exit depends only on drawn
-/// values, never on participation, so the stream position stays a pure
-/// function of the draw history).
+/// values, so the stream position stays a pure function of the lane's own
+/// draw history).
 std::uint64_t coin_word(util::Rng& rng, std::uint32_t step) {
   if (step == 0) return ~std::uint64_t{0};  // probability 1
   if (step >= 64) return 0;                 // matches decay_probability
@@ -55,16 +55,24 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
   const std::size_t blocks = (static_cast<std::size_t>(n) + 63) / 64;
 
   static thread_local std::vector<std::uint64_t> coin;
+  static thread_local std::vector<std::uint64_t> block_lanes;
   static thread_local std::vector<radio::ActiveTx> active;
   coin.resize(blocks * static_cast<std::size_t>(lanes));
+  block_lanes.assign(blocks, 0);
   active.clear();
 
-  // Per lane, per block: draw the coin words, block order, so the stream
-  // consumption matches a standalone 1-lane run of the same lane.
+  // Per block: the lanes with a participant in it.
+  for (graph::NodeId v = 0; v < n; ++v) block_lanes[v >> 6] |= participates[v];
+
+  // Per lane, per block in block order: draw the coin word only where the
+  // lane has a participant, so a lane's stream consumption depends on its
+  // own participation alone and matches a standalone 1-lane run.
   for (int l = 0; l < lanes; ++l) {
     util::Rng& rng = lane_rng[static_cast<std::size_t>(l)];
     std::uint64_t* lane_coin = coin.data() + static_cast<std::size_t>(l) * blocks;
-    for (std::size_t b = 0; b < blocks; ++b) lane_coin[b] = coin_word(rng, step);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      lane_coin[b] = (block_lanes[b] >> l) & 1 ? coin_word(rng, step) : 0;
+    }
   }
 
   if (lanes == 1) {

@@ -15,11 +15,13 @@
 //
 // Coin scheme: Bernoulli(2^-i) is drawn as the AND of i coin words per
 // 64-node block of a lane's stream (bit v mod 64 decides node v), with
-// early exit once the running AND is zero. The draw sequence is a pure
-// function of (lane seed, call sequence) — independent of who participates
-// — so lane l of a batched run consumes exactly the word sequence a
-// standalone scalar run with the same seed consumes, which is what makes
-// batched and per-seed executions byte-identical, lane by lane.
+// early exit once the running AND is zero. A lane draws a block's word only
+// when it has a participant in that block; silent blocks cost no draws. The
+// draw sequence is a pure function of (lane seed, call sequence, the lane's
+// own participation) — never of other lanes — so lane l of a batched run
+// consumes exactly the word sequence a standalone scalar run with the same
+// seed consumes, which is what makes batched and per-seed executions
+// byte-identical, lane by lane.
 #pragma once
 
 #include <cstdint>
