@@ -11,6 +11,19 @@ namespace radiocast::core {
 
 namespace {
 
+/// Domain separation between the background's two coins: node coins hash
+/// (seed ^ kNodeCoinSalt, round, node), cluster coins hash (seed, iteration,
+/// centre), so no node coin reuses a cluster coin's hash input.
+constexpr std::uint64_t kNodeCoinSalt = 0x6E6F6465636F696EULL;  // "nodecoin"
+
+/// Whether hash h, read as a uniform real in [0, 1) from its top 53 bits,
+/// is below 2^-k: for 1 <= k <= 53 exactly when its top k bits are zero.
+/// Decay indices never exceed decay_round_length(n) <= 32.
+bool coin_passes(std::uint64_t h, std::uint32_t k) {
+  assert(k >= 1 && k <= 53);
+  return (h >> (64 - k)) == 0;
+}
+
 /// Rejects an unusable config before any member is built from it (the
 /// member-init list dereferences cfg.graph).
 const PropagationEngine::Config& validated(
@@ -60,6 +73,7 @@ PropagationEngine::PropagationEngine(const Config& cfg)
   in_list_.assign(n, 0);
   center_now_.assign(n, graph::kInvalidNode);
   coin_.assign(n, 0);
+  elig_at_.assign(n, 0);
 
   build_region_structures();
   index_.resize(scheds_.size());
@@ -135,6 +149,13 @@ void PropagationEngine::build_sched_index(std::size_t s) {
 
 void PropagationEngine::mark_reached(NodeId v) {
   reached_[v] = 1;
+  if (!icp_background_) return;
+  // The next background round either rebuilds the eligible list or stays
+  // in the iteration stamped elig_stamp_; in the latter, a node already
+  // listed, or whose centre's coin failed, has nothing to join.
+  if (elig_at_[v] != elig_stamp_ && coin_[center_now_[v]] != elig_stamp_) {
+    pending_.push_back(v);
+  }
   if (!in_list_[v]) {
     in_list_[v] = 1;
     reached_list_.push_back(v);
@@ -388,8 +409,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
   }
 }
 
-void PropagationEngine::background_round(std::vector<Payload>& best,
-                                         util::Rng& rng) {
+void PropagationEngine::background_round(std::vector<Payload>& best) {
   // Algorithm 4 clock: epochs of lambda iterations, iteration i being one
   // Decay round (lambda steps) run by each cluster independently with the
   // coordinated probability 2^-i.
@@ -401,47 +421,74 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
       static_cast<std::uint32_t>((bg_clock_ % epoch_len) / iter_len) + 1;
   const std::uint32_t step_in_round =
       static_cast<std::uint32_t>(bg_clock_ % iter_len) + 1;
-  // Coin-cache stamp of this Decay iteration, taken before the clock
-  // advances: the last step of an iteration must not read as the next one.
+  // Stamp of this Decay iteration, taken before the clock advances: the
+  // last step of an iteration must not read as the next one.
   const std::uint64_t stamp = (bg_clock_ / iter_len + 1) << 1;
+  const std::uint64_t round_seed =
+      util::mix_seed(seed_ ^ kNodeCoinSalt, bg_clock_);
   ++bg_clock_;
 
-  tx_nodes_.clear();
-  tx_payload_.clear();
-  const double cluster_p = schedule::decay_probability(i);
-  const double node_p = schedule::decay_probability(step_in_round);
   const std::uint64_t iter_seed = util::mix_seed(seed_, epoch * 64 + i);
 
-  // Compact the reached list lazily while collecting participants.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < reached_list_.size(); ++r) {
-    const NodeId v = reached_list_[r];
-    if (!reached_[v]) {
-      in_list_[v] = 0;  // stale entry from an earlier window
-      continue;
-    }
-    reached_list_[w++] = v;
-    if (best[v] == radio::kNoPayload) continue;
-    // Coordinated per-cluster coin, drawn once per centre per iteration.
-    // A node is reached only while it is in its region's current schedule:
-    // start_window resets reached_ for the whole region when it rewrites
-    // center_now_, and after that only centres (center_now_[v] == v) and
-    // same-cluster neighbours of reached nodes become reached. So a reached
-    // node's centre is never kInvalidNode.
+  // Coordinated per-cluster coin, hashed once per centre per iteration.
+  // A node is reached only while it is in its region's current schedule:
+  // start_window resets reached_ for the whole region when it rewrites
+  // center_now_, and after that only centres (center_now_[v] == v) and
+  // same-cluster neighbours of reached nodes become reached. So a reached
+  // node's centre is never kInvalidNode.
+  auto cluster_passes = [&](NodeId v) {
     const NodeId c = center_now_[v];
     assert(c != graph::kInvalidNode);
     std::uint64_t& coin = coin_[c];
     if ((coin & ~std::uint64_t{1}) != stamp) {
-      const std::uint64_t h = util::mix_seed(iter_seed, c);
-      const double u01 = static_cast<double>(h >> 11) * 0x1.0p-53;
-      coin = stamp | (u01 < cluster_p ? 1 : 0);
+      coin = stamp | (coin_passes(util::mix_seed(iter_seed, c), i) ? 1 : 0);
     }
-    if ((coin & 1) == 0) continue;
-    if (!rng.bernoulli(node_p)) continue;
+    return (coin & 1) != 0;
+  };
+  auto make_eligible = [&](NodeId v) {
+    elig_at_[v] = stamp;
+    eligible_.push_back(v);
+  };
+
+  if (stamp != elig_stamp_) {
+    // New Decay iteration: rebuild the eligible list in one walk of the
+    // reached list, compacting away entries reset by a window restart.
+    elig_stamp_ = stamp;
+    eligible_.clear();
+    pending_.clear();
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < reached_list_.size(); ++r) {
+      const NodeId v = reached_list_[r];
+      if (!reached_[v]) {
+        in_list_[v] = 0;
+        continue;
+      }
+      reached_list_[w++] = v;
+      if (cluster_passes(v)) make_eligible(v);
+    }
+    reached_list_.resize(w);
+  } else {
+    // Nodes reached since the last background round join mid-iteration.
+    for (const NodeId v : pending_) {
+      if (elig_at_[v] != stamp && reached_[v] && cluster_passes(v)) {
+        make_eligible(v);
+      }
+    }
+    pending_.clear();
+  }
+
+  tx_nodes_.clear();
+  tx_payload_.clear();
+  for (const NodeId v : eligible_) {
+    // A window restart since v was listed may have reset v or moved it to
+    // another fine cluster, so both are checked again.
+    if (!reached_[v] || best[v] == radio::kNoPayload || !cluster_passes(v)) {
+      continue;
+    }
+    if (!coin_passes(util::mix_seed(round_seed, v), step_in_round)) continue;
     tx_nodes_.push_back(v);
     tx_payload_.push_back(best[v]);
   }
-  reached_list_.resize(w);
 
   if (!tx_nodes_.empty()) {
     net_.resolve(tx_nodes_, tx_payload_, sparse_out_);
@@ -472,14 +519,14 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
 }
 
 std::uint32_t PropagationEngine::step(std::vector<Payload>& best,
-                                      util::Rng& rng) {
+                                      util::Rng& /*rng*/) {
   if (!started_) {
     started_ = true;
     for (std::uint32_t r = 0; r < region_count_; ++r) start_window(r, best);
   }
   wave_round(best);
   if (icp_background_) {
-    background_round(best, rng);
+    background_round(best);
     return 2;
   }
   return 1;

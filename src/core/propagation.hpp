@@ -26,9 +26,15 @@
 // matching the paper's alternating construction.
 //
 // Rounds read each node's fine-cluster centre (under its region's current
-// schedule) from one array written at window start, and the background's
-// coordinated 2^-i coin is hashed once per centre per Decay iteration and
-// cached, so a round's cost follows the nodes it touches.
+// schedule) from one array written at window start, so a round's cost
+// follows the nodes it touches. Both background coins are hashes, not
+// stream draws: the coordinated 2^-i cluster coin of Decay iteration k is
+// mix_seed(mix_seed(seed, k), centre), hashed once per centre per
+// iteration and cached, and node v's 2^-j coin in background round t is
+// mix_seed(mix_seed(seed ^ salt, t), v). So a background round visits only
+// the reached nodes whose cluster coin passed (rebuilt once per iteration,
+// plus nodes reached since), and its outcome does not depend on the order
+// it visits them in. The engine draws nothing from the Rng passed to step.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +88,8 @@ class PropagationEngine {
   /// Advances the engine by one step over the shared knowledge vector
   /// `best` (node -> highest message known, radio::kNoPayload if none).
   /// Returns physical rounds consumed (1, or 2 with the background stream).
+  /// `rng` is unused: every coin is a hash of Config::seed. The parameter
+  /// stays so existing callers keep compiling.
   std::uint32_t step(std::vector<Payload>& best, util::Rng& rng);
 
   const PropagationStats& stats() const { return stats_; }
@@ -89,6 +97,10 @@ class PropagationEngine {
   /// Whether v currently holds its fine cluster's message in this window
   /// (the wave reached it, or the background rescued it).
   bool reached(NodeId v) const { return reached_[v] != 0; }
+
+  /// Nodes reached since the last background round, waiting to join its
+  /// eligible list. Always 0 on an engine without the background stream.
+  std::size_t pending_count() const { return pending_.size(); }
 
  private:
   // ---- static structure --------------------------------------------------
@@ -135,8 +147,10 @@ class PropagationEngine {
   std::vector<std::uint8_t> reached_;
   std::vector<Payload> upval_;
   std::vector<Payload> snap_;  // centre snapshot (entry used at centres)
-  std::vector<NodeId> reached_list_;  // compacted lazily (decay stream)
-  std::vector<std::uint8_t> in_list_; // membership flags for reached_list_
+  /// Background stream only: every reached node (plus stale entries,
+  /// compacted once per Decay iteration) and its membership flags.
+  std::vector<NodeId> reached_list_;
+  std::vector<std::uint8_t> in_list_;
   /// Per node: its centre in its region's current schedule, written by
   /// start_window for the region's members; kInvalidNode for nodes in no
   /// region or out of the schedule's scope. Fine clusters never span
@@ -157,9 +171,17 @@ class PropagationEngine {
   std::uint64_t bg_clock_ = 0;
   std::uint32_t lambda_;
   /// Per centre id: the coordinated coin of the Decay iteration it was last
-  /// drawn in, as (iteration + 1) << 1 | passed. The coin depends only on
+  /// hashed in, as (iteration + 1) << 1 | passed. The coin depends only on
   /// (seed, iteration, centre), so it holds across schedules and windows.
   std::vector<std::uint64_t> coin_;
+  /// Reached nodes whose cluster coin passed in the iteration stamped
+  /// elig_stamp_ (entries may since have been reset; rounds re-check).
+  std::vector<NodeId> eligible_;
+  std::uint64_t elig_stamp_ = 0;
+  /// Per node: the iteration stamp it was last added to eligible_ under.
+  std::vector<std::uint64_t> elig_at_;
+  /// Nodes marked reached since the last background round.
+  std::vector<NodeId> pending_;
 
   PropagationStats stats_;
 
@@ -173,7 +195,7 @@ class PropagationEngine {
                    std::vector<Payload>& best);
   void finish_inward(std::uint32_t region, std::vector<Payload>& best);
   void wave_round(std::vector<Payload>& best);
-  void background_round(std::vector<Payload>& best, util::Rng& rng);
+  void background_round(std::vector<Payload>& best);
   void mark_reached(NodeId v);
 
   /// Transmitting depth for a region this round, or kNoDepth when idle.
@@ -186,8 +208,9 @@ class PropagationEngine {
 /// cluster of `sched` starts its window in round 0). Each pass takes
 /// pass_hops rounds (times the period in colored mode); with
 /// `icp_background` every wave round is followed by one Algorithm 4 round
-/// whose coordinated coins derive from `seed`. Returns the engine's stats;
-/// main_rounds + background_rounds is the window's physical round count.
+/// whose coins derive from `seed` (`rng` is unused, as in step). Returns the
+/// engine's stats; main_rounds + background_rounds is the window's physical
+/// round count.
 PropagationStats run_single_window(const graph::Graph& g,
                                    const schedule::TreeSchedule& sched,
                                    std::uint32_t pass_hops,

@@ -121,8 +121,8 @@ TEST(Compete, StatsReflectActivity) {
 // Exact outcomes over a small grid. A change to how the engine does its
 // per-round bookkeeping must reproduce every round, delivery and coin flip;
 // only a deliberate change of behaviour re-records this table (last: the
-// partition's explicit smallest-id parent rule, which reorders
-// TreeSchedule child lists on gnp and grid). Families:
+// background's node coins became per-(seed, round, node) hashes instead of
+// stream draws). Families:
 // gnp n=256 (average degree 8, graph seed 17), cliquepath n=128 d=32,
 // grid 12x12; sources {0: 3, n/2: 11}.
 TEST(Compete, OutcomesPinnedAcrossSeeds) {
@@ -139,30 +139,30 @@ TEST(Compete, OutcomesPinnedAcrossSeeds) {
     std::array<std::uint64_t, 7> background_stats;
   };
   static const Pinned kPinned[] = {
-      {0, false, 1, true, 352, 256, {88, 88, 6, 638, 284, 314, 55}, {88, 88, 3, 1319, 148, 130, 1}},
-      {0, false, 2, true, 128, 256, {32, 32, 1, 236, 0, 50, 24}, {32, 32, 2, 330, 21, 0, 0}},
-      {0, false, 3, true, 224, 256, {56, 56, 10, 163, 89, 6, 0}, {56, 56, 2, 573, 76, 0, 0}},
-      {0, false, 4, true, 288, 256, {72, 72, 8, 404, 150, 271, 54}, {72, 72, 3, 565, 150, 315, 16}},
+      {0, false, 1, true, 352, 256, {88, 88, 6, 637, 281, 313, 65}, {88, 88, 3, 1326, 148, 114, 0}},
+      {0, false, 2, true, 128, 256, {32, 32, 1, 241, 0, 41, 19}, {32, 32, 2, 330, 21, 0, 0}},
+      {0, false, 3, true, 224, 256, {56, 56, 10, 163, 89, 0, 0}, {56, 56, 2, 573, 76, 0, 0}},
+      {0, false, 4, true, 288, 256, {72, 72, 8, 409, 159, 329, 62}, {72, 72, 3, 565, 150, 299, 17}},
       {0, true, 1, true, 704, 256, {176, 176, 2, 36, 0, 0, 0}, {176, 176, 1, 272, 0, 0, 0}},
       {0, true, 2, true, 704, 256, {176, 176, 1, 66, 0, 0, 0}, {176, 176, 1, 271, 0, 0, 0}},
-      {0, true, 3, true, 704, 256, {176, 176, 5, 176, 0, 22, 1}, {176, 176, 1, 249, 0, 320, 7}},
-      {0, true, 4, true, 640, 256, {160, 160, 4, 32, 0, 0, 0}, {160, 160, 2, 369, 0, 614, 9}},
-      {1, false, 1, true, 576, 128, {144, 144, 14, 1158, 108, 305, 34}, {144, 144, 5, 736, 148, 271, 51}},
-      {1, false, 2, true, 192, 128, {48, 48, 6, 393, 8, 0, 0}, {48, 48, 2, 156, 42, 12, 0}},
-      {1, false, 3, true, 288, 128, {72, 72, 12, 671, 0, 126, 0}, {72, 72, 3, 275, 122, 269, 43}},
-      {1, false, 4, true, 256, 128, {64, 64, 20, 254, 141, 116, 20}, {64, 64, 3, 272, 24, 109, 18}},
-      {1, true, 1, true, 512, 128, {128, 128, 6, 299, 0, 250, 23}, {128, 128, 2, 135, 0, 220, 44}},
-      {1, true, 2, true, 544, 128, {136, 136, 6, 469, 0, 480, 13}, {136, 136, 2, 187, 0, 194, 8}},
-      {1, true, 3, true, 608, 128, {152, 152, 9, 294, 0, 420, 48}, {152, 152, 2, 197, 0, 266, 37}},
-      {1, true, 4, true, 704, 128, {176, 176, 15, 236, 0, 367, 41}, {176, 176, 2, 166, 0, 244, 9}},
-      {2, false, 1, true, 256, 144, {64, 64, 4, 509, 60, 14, 4}, {64, 64, 3, 433, 35, 19, 5}},
-      {2, false, 2, true, 256, 144, {64, 64, 8, 455, 48, 4, 0}, {64, 64, 3, 379, 37, 49, 10}},
-      {2, false, 3, true, 320, 144, {80, 80, 20, 503, 24, 114, 11}, {80, 80, 3, 223, 60, 154, 9}},
-      {2, false, 4, true, 352, 144, {88, 88, 35, 582, 106, 245, 34}, {88, 88, 3, 372, 77, 197, 20}},
-      {2, true, 1, true, 736, 144, {184, 184, 2, 256, 0, 159, 15}, {184, 184, 2, 231, 0, 175, 0}},
-      {2, true, 2, true, 512, 144, {128, 128, 4, 229, 0, 49, 5}, {128, 128, 2, 262, 0, 0, 0}},
-      {2, true, 3, true, 864, 144, {216, 216, 15, 369, 0, 364, 20}, {216, 216, 2, 129, 0, 272, 11}},
-      {2, true, 4, true, 992, 144, {248, 248, 21, 314, 0, 460, 19}, {248, 248, 2, 200, 0, 380, 9}}
+      {0, true, 3, true, 736, 256, {184, 184, 5, 214, 0, 25, 0}, {184, 184, 2, 419, 0, 359, 7}},
+      {0, true, 4, true, 640, 256, {160, 160, 4, 32, 0, 0, 0}, {160, 160, 2, 369, 0, 652, 10}},
+      {1, false, 1, true, 1088, 128, {272, 272, 26, 2475, 246, 836, 56}, {272, 272, 10, 1570, 343, 821, 93}},
+      {1, false, 2, true, 192, 128, {48, 48, 6, 393, 8, 0, 0}, {48, 48, 2, 156, 42, 13, 0}},
+      {1, false, 3, true, 288, 128, {72, 72, 12, 642, 0, 63, 0}, {72, 72, 3, 285, 122, 176, 43}},
+      {1, false, 4, true, 256, 128, {64, 64, 20, 274, 141, 188, 50}, {64, 64, 3, 272, 24, 168, 18}},
+      {1, true, 1, true, 960, 128, {240, 240, 8, 621, 0, 509, 25}, {240, 240, 3, 311, 0, 582, 61}},
+      {1, true, 2, true, 544, 128, {136, 136, 6, 451, 0, 448, 33}, {136, 136, 2, 187, 0, 309, 18}},
+      {1, true, 3, true, 608, 128, {152, 152, 9, 294, 0, 411, 48}, {152, 152, 2, 197, 0, 192, 18}},
+      {1, true, 4, true, 704, 128, {176, 176, 15, 236, 0, 411, 51}, {176, 176, 2, 154, 0, 387, 29}},
+      {2, false, 1, true, 256, 144, {64, 64, 4, 511, 60, 22, 2}, {64, 64, 3, 433, 35, 17, 3}},
+      {2, false, 2, true, 256, 144, {64, 64, 8, 456, 48, 10, 0}, {64, 64, 3, 380, 37, 42, 8}},
+      {2, false, 3, true, 352, 144, {88, 88, 25, 601, 43, 122, 12}, {88, 88, 3, 301, 94, 229, 14}},
+      {2, false, 4, true, 352, 144, {88, 88, 35, 518, 99, 226, 47}, {88, 88, 3, 376, 77, 216, 15}},
+      {2, true, 1, true, 736, 144, {184, 184, 2, 255, 0, 168, 12}, {184, 184, 2, 231, 0, 194, 0}},
+      {2, true, 2, true, 512, 144, {128, 128, 4, 230, 0, 52, 4}, {128, 128, 2, 262, 0, 4, 0}},
+      {2, true, 3, true, 864, 144, {216, 216, 15, 378, 0, 334, 9}, {216, 216, 2, 137, 0, 290, 9}},
+      {2, true, 4, true, 992, 144, {248, 248, 21, 323, 0, 423, 18}, {248, 248, 2, 198, 0, 393, 9}}
   };
   const sim::Instance instances[] = {
       sim::make_gnp_instance(256, 8.0 / 255, 17, 1),

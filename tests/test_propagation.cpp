@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "cluster/exponential_shifts.hpp"
 #include "graph/generators.hpp"
 #include "schedule/bfs_schedule.hpp"
@@ -109,6 +111,35 @@ TEST(PropagationEngine, StepCountsRoundsForBothStreams) {
   EXPECT_EQ(without.step(b, rng), 1u);
   EXPECT_EQ(with_bg.stats().background_rounds, 1u);
   EXPECT_EQ(without.stats().background_rounds, 0u);
+  EXPECT_EQ(without.pending_count(), 0u);
+}
+
+TEST(Propagation, BackgroundIgnoresCallerRng) {
+  // Every background coin is a hash of the engine's seed, so the Rng a
+  // caller passes to step cannot change a round: two engines with one
+  // config, stepped with differently seeded Rngs, stay identical.
+  PathFixture fx(24);
+  PropagationEngine a(fx.config(2, true));
+  PropagationEngine b(fx.config(2, true));
+  std::vector<Payload> best_a(24, kNoPayload);
+  best_a[0] = 5;
+  best_a[17] = 9;
+  std::vector<Payload> best_b = best_a;
+  util::Rng rng_a(1), rng_b(2);
+  auto counters = [](const PropagationStats& s) {
+    return std::array<std::uint64_t, 7>{
+        s.main_rounds,     s.background_rounds, s.windows_started,
+        s.wave_deliveries, s.wave_blocked,      s.decay_deliveries,
+        s.rescued};
+  };
+  for (int i = 0; i < 400; ++i) {
+    a.step(best_a, rng_a);
+    b.step(best_b, rng_b);
+    ASSERT_EQ(best_a, best_b) << "step " << i;
+    ASSERT_EQ(counters(a.stats()), counters(b.stats())) << "step " << i;
+  }
+  EXPECT_GT(a.stats().decay_deliveries, 0u);
+  EXPECT_GT(a.stats().rescued, 0u);
 }
 
 TEST(PropagationEngine, WindowsAdvanceAndRestart) {
@@ -120,6 +151,8 @@ TEST(PropagationEngine, WindowsAdvanceAndRestart) {
   // 3 windows of 3 passes x 2 rounds.
   for (int i = 0; i < 18; ++i) eng.step(best, rng);
   EXPECT_EQ(eng.stats().windows_started, 1u + 3u);  // initial + 3 restarts
+  // Without the background stream nothing queues for its eligible list.
+  EXPECT_EQ(eng.pending_count(), 0u);
 }
 
 TEST(PropagationEngine, RepeatedWindowsEventuallyCoverTheCurtailChain) {
@@ -140,6 +173,7 @@ TEST(PropagationEngine, RepeatedWindowsEventuallyCoverTheCurtailChain) {
     std::size_t covered = 0;
     for (auto b : best) covered += b != kNoPayload;
     EXPECT_GE(covered, covered_prev);
+    EXPECT_EQ(eng.pending_count(), 0u);
     covered_prev = covered;
   }
   // Coverage is capped by the curtail: exactly nodes 0..3.
