@@ -130,8 +130,6 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
       params.max_rounds_abs,
       static_cast<std::uint64_t>(params.round_budget_factor * bound));
 
-  util::Rng main_rng = rng.fork(1);
-  util::Rng bg_rng = rng.fork(2);
   std::uint64_t rounds = 0;
   std::uint32_t since_check = 0;
   auto all_informed = [&]() {
@@ -142,8 +140,9 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
   };
   bool done = all_informed();
   while (!done && rounds < budget) {
-    rounds += main_engine.step(result.best, main_rng);
-    if (bg_engine) rounds += bg_engine->step(result.best, bg_rng);
+    // Every engine coin hashes its Config::seed; step draws nothing.
+    rounds += main_engine.step(result.best, rng);
+    if (bg_engine) rounds += bg_engine->step(result.best, rng);
     if (++since_check >= params.check_interval) {
       since_check = 0;
       done = all_informed();
