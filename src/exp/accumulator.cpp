@@ -28,9 +28,6 @@ void Accumulator::add_phases(const radio::PhaseTimers& phases) {
   phases_.rowscan_rounds += phases.rowscan_rounds;
   phases_.idplane_rounds += phases.idplane_rounds;
   phases_.constfold_rounds += phases.constfold_rounds;
-  phases_.steal_attempts += phases.steal_attempts;
-  phases_.steals += phases.steals;
-  phases_.idle_ns += phases.idle_ns;
 }
 
 void Accumulator::add_wall_ms(double wall_ms) { wall_ms_ += wall_ms; }

@@ -44,11 +44,11 @@ void clear_shutdown() { g_shutdown.store(false); }
 
 namespace {
 
-// v2: the positional phases array grew the work-stealing pool counters
-// (steal_attempts, steals, idle_ns). Version mismatches reject loudly —
-// a journal is transient state, never migrated in place.
-constexpr int kJournalVersion = 2;
-constexpr std::size_t kPhaseCounters = 13;
+// v3: the positional phases array dropped v2's three work-stealing pool
+// counters (steal_attempts, steals, idle_ns). Version mismatches reject
+// loudly — a journal is transient state, never migrated in place.
+constexpr int kJournalVersion = 3;
+constexpr std::size_t kPhaseCounters = 10;
 
 std::uint64_t fnv1a64(std::string_view text) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -99,9 +99,7 @@ util::Json outcome_to_json(std::size_t task, const TaskOutcome& out) {
       out.phases.recover_ns,   out.phases.enqueue_ns,
       out.phases.drain_ns,     out.phases.active_listeners,
       out.phases.rounds,       out.phases.rowscan_rounds,
-      out.phases.idplane_rounds, out.phases.constfold_rounds,
-      out.phases.steal_attempts, out.phases.steals,
-      out.phases.idle_ns};
+      out.phases.idplane_rounds, out.phases.constfold_rounds};
   for (const std::uint64_t c : counters) phases.push_back(util::json_uint(c));
   j.set("phases", std::move(phases));
   util::Json lanes = util::Json::array();
@@ -142,9 +140,7 @@ TaskOutcome outcome_from_json(const util::Json& j, std::size_t& task) {
       &out.phases.recover_ns,   &out.phases.enqueue_ns,
       &out.phases.drain_ns,     &out.phases.active_listeners,
       &out.phases.rounds,       &out.phases.rowscan_rounds,
-      &out.phases.idplane_rounds, &out.phases.constfold_rounds,
-      &out.phases.steal_attempts, &out.phases.steals,
-      &out.phases.idle_ns};
+      &out.phases.idplane_rounds, &out.phases.constfold_rounds};
   for (std::size_t i = 0; i < kPhaseCounters; ++i) {
     *counters[i] = util::json_as_uint(phases.items()[i], "phase counter");
   }

@@ -11,7 +11,7 @@
 //
 // Journal format (<out_dir>/sweep.journal, line-oriented, append-only):
 //
-//   H <crc> {"kind":"sweep-journal","version":1,
+//   H <crc> {"kind":"sweep-journal","version":3,
 //            "fingerprint":"<16-hex spec digest>","tasks":<count>}
 //   R <crc> {"task":<idx>,"n":...,"diameter":...,"gen_ns":...,
 //            "wall_ms":...,"phases":[...10 counters...],

@@ -174,10 +174,6 @@ util::Json point_json(const PointMeta& meta, const Accumulator& acc,
           static_cast<std::uint64_t>(acc.phases().idplane_rounds));
     t.set("constfold_rounds",
           static_cast<std::uint64_t>(acc.phases().constfold_rounds));
-    t.set("steal_attempts",
-          static_cast<std::uint64_t>(acc.phases().steal_attempts));
-    t.set("steals", static_cast<std::uint64_t>(acc.phases().steals));
-    t.set("idle_ns", static_cast<std::uint64_t>(acc.phases().idle_ns));
     if (gen != nullptr) {
       t.set("gen_ns", gen->gen_ns);
       t.set("cache_hits", gen->cache_hits);
@@ -235,19 +231,6 @@ util::Json sweep_json(const SweepSpec& spec,
     cache.set("hits", hits);
     cache.set("misses", misses);
     j.set("cache", std::move(cache));
-    // Grid-wide work-stealing rollup (pooled bitslice points only contribute):
-    // how much imbalance the pool absorbed (steals) vs ate (idle_ns).
-    std::uint64_t steal_attempts = 0, steals = 0, idle_ns = 0;
-    for (const PointResult& point : results) {
-      steal_attempts += point.acc.phases().steal_attempts;
-      steals += point.acc.phases().steals;
-      idle_ns += point.acc.phases().idle_ns;
-    }
-    util::Json pool = util::Json::object();
-    pool.set("steal_attempts", util::json_uint(steal_attempts));
-    pool.set("steals", util::json_uint(steals));
-    pool.set("idle_ns", util::json_uint(idle_ns));
-    j.set("pool", std::move(pool));
     j.set("metrics", obs::Metrics::global().snapshot_json());
   }
   util::Json points = util::Json::array();

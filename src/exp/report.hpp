@@ -31,10 +31,12 @@ namespace radiocast::exp {
 /// active_listeners.
 /// v3: timing blocks gained the work-stealing pool counters
 /// (steal_attempts, steals, idle_ns); timing-enabled sweep documents
-/// gained the grid-wide "pool" rollup and the obs::Metrics "metrics"
-/// snapshot. --timing=off output is unchanged from v2 except the version
-/// stamp.
-inline constexpr int kSchemaVersion = 3;
+/// gained a grid-wide "pool" rollup and the obs::Metrics "metrics"
+/// snapshot.
+/// v4: the pool no longer steals, so its counters and the "pool" rollup
+/// are gone.
+/// --timing=off output is unchanged from v2 except the version stamp.
+inline constexpr int kSchemaVersion = 4;
 
 class Report {
  public:

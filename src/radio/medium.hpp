@@ -26,8 +26,8 @@
 //              Monte-Carlo lanes at once. Its prologue walks the list
 //              itself, so a sparse round costs O(active work) — never an
 //              O(n) mask scan — and with more than one worker its dense
-//              (gather) rounds run on a work-stealing pool over
-//              degree-balanced listener slices. Its resolve() is the same
+//              (gather) rounds run on a slice pool over degree-balanced
+//              listener slices. Its resolve() is the same
 //              fold over a one-lane plane of sender ids
 //
 // Both backends implement identical interference semantics — the
@@ -134,7 +134,7 @@ struct PhaseTimers {
   std::uint64_t output_ns = 0;    // output scan: masks, tallies, re-zeroing
   std::uint64_t recover_ns = 0;   // sender recovery (row scan)
   /// Always 0: every round reports traverse_ns/output_ns. The fields stay
-  /// because the v2 sweep-journal record layout and the perfbench report
+  /// because the sweep-journal record layout and the perfbench report
   /// carry them (like idplane_rounds below).
   std::uint64_t enqueue_ns = 0;
   std::uint64_t drain_ns = 0;
@@ -145,19 +145,11 @@ struct PhaseTimers {
   std::uint64_t rounds = 0;       // resolve calls accumulated
   std::uint64_t rowscan_rounds = 0;   // rounds recovered by row scan
   /// Always 0: id-plane recovery is gone, but the field stays because the
-  /// v2 sweep-journal record layout and the perfbench report carry it.
+  /// sweep-journal record layout and the perfbench report carry it.
   std::uint64_t idplane_rounds = 0;
   /// Rounds where the max-fold proved every transmitter carried one
   /// payload value, so deliveries folded with no sender identification.
   std::uint64_t constfold_rounds = 0;
-  /// Work-stealing pool behaviour (bitslice gather rounds with more than
-  /// one worker; all zero elsewhere): steal_back attempts against other
-  /// workers' deques, the subset that claimed a slice, and the cumulative
-  /// ns workers sat finished while the round's slowest worker was still
-  /// running (the load-imbalance tail stealing could not absorb).
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t idle_ns = 0;
   void reset() { *this = PhaseTimers{}; }
 };
 
@@ -172,22 +164,18 @@ constexpr std::uint64_t lane_mask(int lanes) {
 }
 
 /// Per-lane payload view for resolve_lanes: entry (lane, node)
-/// is what the node transmits in that lane. Three layouts, all expressed
+/// is what the node transmits in that lane. Two layouts, both expressed
 /// through one dual-stride address function
 ///
 ///   at(lane, v) = data[lane * lane_stride + v * node_stride]
 ///
 ///   * shared — one node_count-sized plane broadcast to every lane
-///     (lane_stride 0). The original lane-invariant contract, still the
-///     natural fit for floods where every lane relays the same constant.
-///   * lane-major — a lanes x node_count buffer where plane l occupies
-///     [l * node_count, (l+1) * node_count). Kept as a view adapter for
-///     scalar facades and per-lane extraction.
+///     (lane_stride 0). The lane-invariant contract, the natural fit for
+///     floods where every lane relays the same constant.
 ///   * node-major — a node_count x lanes buffer where node v's lane words
 ///     occupy [v * lanes, (v+1) * lanes): one contiguous cache-line run
 ///     per listener. This is the layout protocol knowledge planes (best[])
-///     use, so the max-fold's per-listener writes are sequential instead
-///     of strided across planes.
+///     use, so the max-fold's per-listener writes are sequential.
 ///
 /// The view is non-owning; the buffer must outlive the call it is passed
 /// to (media never retain it across calls).
@@ -199,14 +187,6 @@ class PayloadPlanes {
       : data_(plane.data()), plane_size_(plane.size()) {}
   PayloadPlanes(const std::vector<Payload>& plane)
       : PayloadPlanes(std::span<const Payload>(plane)) {}
-
-  /// Lane-major planes over a (lanes x node_count) buffer; the number of
-  /// lanes served is data.size() / node_count.
-  static PayloadPlanes lane_major(std::span<const Payload> data,
-                                  std::size_t node_count) {
-    const int capacity = capacity_for(data.size(), node_count);
-    return PayloadPlanes(data.data(), node_count, node_count, 1, capacity);
-  }
 
   /// Node-major planes over a (node_count x lanes) buffer: node v's lane
   /// words are the contiguous run data[v * lanes .. v * lanes + lanes).
@@ -261,11 +241,10 @@ class PayloadPlanes {
 };
 
 /// Mutable per-lane knowledge-plane view — the fold target of
-/// resolve_lanes. Same dual-stride address function as
-/// PayloadPlanes (shared / lane-major / node-major); node-major is the
-/// layout the batched protocol cores use, so each listener's up-to-64
-/// folded lane words land in one contiguous cache-line run instead of the
-/// old strided best[lane * n + v] scatter.
+/// resolve_lanes. Same dual-stride address function as PayloadPlanes
+/// (shared / node-major, plus the implicit one-lane plane); node-major is
+/// the layout the batched protocol cores use, so each listener's up-to-64
+/// folded lane words land in one contiguous cache-line run.
 class KnowledgePlanes {
  public:
   /// Single shared plane — the scalar facades' adapter (1 lane, so the
@@ -282,14 +261,6 @@ class KnowledgePlanes {
   /// so a 64-lane round needs n words of fold target, not 64 x n.
   static KnowledgePlanes shared(std::span<Payload> plane) {
     return KnowledgePlanes(plane.data(), plane.size(), 0, 1, kMaxLanes);
-  }
-
-  /// Lane-major planes over a (lanes x node_count) buffer (view adapter
-  /// for consumers that still want plane-contiguous extraction).
-  static KnowledgePlanes lane_major(std::span<Payload> data,
-                                    std::size_t node_count) {
-    const int capacity = capacity_for(data.size(), node_count);
-    return KnowledgePlanes(data.data(), node_count, node_count, 1, capacity);
   }
 
   /// Node-major planes over a (node_count x lanes) buffer: node v's lane

@@ -8,7 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radio/simd.hpp"
-#include "radio/steal_pool.hpp"
+#include "radio/slice_pool.hpp"
 #include "util/parse.hpp"
 
 namespace radiocast::radio {
@@ -29,9 +29,9 @@ int default_threads() {
 }
 
 // ~16k adjacency entries per slice keeps a slice several L2-resident row
-// walks big (steal overhead amortized) while giving every realistic worker
-// count plenty of steal granularity. Deliberately a function of the GRAPH
-// only, never of the worker count.
+// walks big (claim overhead amortized) while giving every realistic worker
+// count plenty of slices to balance over. Deliberately a function of the
+// GRAPH only, never of the worker count.
 constexpr std::uint64_t kAdjPerSlice = 16384;
 constexpr int kMaxSlices = 4096;
 
@@ -52,7 +52,7 @@ BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model,
   int workers = threads == 0 ? default_threads() : std::max(1, threads);
   workers = std::min<int>(workers, std::max<graph::NodeId>(1, n));
   if (workers == 1) return;
-  pool_ = std::make_unique<StealPool>(workers);
+  pool_ = std::make_unique<SlicePool>(workers);
 
   // Cut the listener space so every slice owns ~the same adjacency volume
   // (degree_prefix is the CSR offset array: offsets[v] = sum of degrees of
@@ -228,7 +228,7 @@ void BitsliceMedium::run_core(std::uint64_t lane_mask, int lanes,
         s.part.reset(&s.buf);
         pass(s.lo, s.hi, s.part);
       };
-      pool_->run(slices_.size(), job, timers_);
+      pool_->run(slices_.size(), job);
       // Slice-index order, whichever worker ran which slice: the
       // concatenation is exactly the serial pass's node-order output.
       for (const Slice& s : slices_) {

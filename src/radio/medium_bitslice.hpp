@@ -18,7 +18,7 @@
 // registers, radio/simd.hpp's AVX2 row gather behind runtime dispatch).
 // Gather rounds are the one place extra cores pay: with more than one
 // worker the listener space is cut into degree-balanced slices run on a
-// work-stealing pool (radio/steal_pool.hpp). Each slice fills its own
+// slice pool (radio/slice_pool.hpp). Each slice fills its own
 // output buffers and tallies, merged in slice order, so outcomes are
 // byte-identical for any worker or slice count. The serial run is the
 // same pass over one slice [0, n) writing straight into the outcome.
@@ -41,14 +41,14 @@
 
 namespace radiocast::radio {
 
-class StealPool;
+class SlicePool;
 
 class BitsliceMedium final : public Medium {
  public:
   /// `threads` is the gather-round worker count: 0 defers to the
   /// RADIOCAST_SHARD_THREADS environment variable when set, else 1 (serial,
-  /// no pool threads). `slices` is the pooled gather's steal-granularity
-  /// slice count; 0 means one slice per ~16k adjacency entries. Neither
+  /// no pool threads). `slices` is the pooled gather's slice count; 0
+  /// means one slice per ~16k adjacency entries. Neither
   /// changes an outcome — only where the cost lands.
   BitsliceMedium(const graph::Graph& g, CollisionModel model, int threads = 0,
                  int slices = 0);
@@ -174,7 +174,7 @@ class BitsliceMedium final : public Medium {
 
   // Gather-round pool: null when serial. Slices are a pure function of the
   // graph and the slice knob; they exist only alongside a pool.
-  std::unique_ptr<StealPool> pool_;
+  std::unique_ptr<SlicePool> pool_;
   std::vector<Slice> slices_;
 
   // The round's transmit masks, staged from its list (node_count words):

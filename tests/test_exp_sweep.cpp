@@ -512,12 +512,12 @@ TEST(Report, JsonCarriesSchemaVersionFirst) {
   EXPECT_TRUE(quiet.str().empty());
 }
 
-// Schema v3: timed points must carry the sparse-list phase counters AND
-// the work-stealing pool counters (zero on other backends, but always
-// present, so consumers never probe for optional keys); untimed points
-// stay timing-free.
-TEST(Report, TimingBlockCarriesSparseAndPoolCounters) {
-  EXPECT_EQ(kSchemaVersion, 3);
+// Schema v4: timed points must carry the sparse-list phase counters
+// (always present, so consumers never probe for optional keys) and no
+// longer carry v3's work-stealing pool counters; untimed points stay
+// timing-free.
+TEST(Report, TimingBlockCarriesSparseCounters) {
+  EXPECT_EQ(kSchemaVersion, 4);
   PointMeta meta;
   meta.family = "gnp";
   Accumulator acc;
@@ -525,9 +525,6 @@ TEST(Report, TimingBlockCarriesSparseAndPoolCounters) {
   phases.enqueue_ns = 7;
   phases.drain_ns = 9;
   phases.active_listeners = 11;
-  phases.steal_attempts = 13;
-  phases.steals = 5;
-  phases.idle_ns = 17;
   acc.add_phases(phases);
   const util::Json j = point_json(meta, acc, /*timing=*/true);
   const util::Json* t = j.find("timing");
@@ -535,9 +532,9 @@ TEST(Report, TimingBlockCarriesSparseAndPoolCounters) {
   EXPECT_DOUBLE_EQ(t->find("enqueue_ns")->as_number(), 7.0);
   EXPECT_DOUBLE_EQ(t->find("drain_ns")->as_number(), 9.0);
   EXPECT_DOUBLE_EQ(t->find("active_listeners")->as_number(), 11.0);
-  EXPECT_DOUBLE_EQ(t->find("steal_attempts")->as_number(), 13.0);
-  EXPECT_DOUBLE_EQ(t->find("steals")->as_number(), 5.0);
-  EXPECT_DOUBLE_EQ(t->find("idle_ns")->as_number(), 17.0);
+  for (const char* gone : {"steal_attempts", "steals", "idle_ns"}) {
+    EXPECT_EQ(t->find(gone), nullptr) << gone;
+  }
   EXPECT_EQ(point_json(meta, acc, /*timing=*/false).find("timing"), nullptr);
 }
 

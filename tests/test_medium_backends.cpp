@@ -320,12 +320,12 @@ TEST(MediumBackends, BatchPerLanePayloadPlanes) {
   for (NodeId v = 0; v < n; ++v) {
     for (int l = 0; l < lanes; ++l) {
       if (rng.bernoulli(0.3)) tx_mask[v] |= std::uint64_t{1} << l;
-      planes[static_cast<std::size_t>(l) * n + v] =
+      planes[static_cast<std::size_t>(v) * lanes + l] =
           10'000 * static_cast<Payload>(l + 1) + v;
     }
   }
   const std::vector<ActiveTx> tx = active_list(tx_mask);
-  const PayloadPlanes payload = PayloadPlanes::lane_major(planes, n);
+  const PayloadPlanes payload = PayloadPlanes::node_major(planes, n);
   EXPECT_FALSE(payload.lane_invariant());
   EXPECT_EQ(payload.lane_capacity(), lanes);
 
@@ -334,7 +334,7 @@ TEST(MediumBackends, BatchPerLanePayloadPlanes) {
     std::vector<Payload> best(static_cast<std::size_t>(lanes) * n,
                               kNoPayload);
     medium->resolve_lanes(tx, payload, lanes,
-                          KnowledgePlanes::lane_major(best, n), out);
+                          KnowledgePlanes::node_major(best, n), out);
     return best;
   };
   BatchOutcome want, got;
@@ -342,7 +342,7 @@ TEST(MediumBackends, BatchPerLanePayloadPlanes) {
   auto ids = make_medium(MediumKind::kScalar, g, CollisionModel::kNoDetection);
   BatchOutcome ids_out;
   for (const auto& d : lane_deliveries(*ids, tx, lanes, ids_out)) {
-    EXPECT_EQ(want_best[static_cast<std::size_t>(d.lane) * n + d.node],
+    EXPECT_EQ(want_best[static_cast<std::size_t>(d.node) * lanes + d.lane],
               10'000 * static_cast<Payload>(d.lane + 1) + d.from)
         << "delivery must carry the sender's own-lane plane value";
   }
@@ -529,7 +529,7 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
     for (const CollisionModel model :
          {CollisionModel::kNoDetection, CollisionModel::kDetection}) {
       for (const int lanes : {1, 7, 64}) {
-        // Lane-major planes exercise real per-lane payload recovery; a
+        // Node-major planes exercise real per-lane payload recovery; a
         // second round with one shared constant plane exercises kAuto's
         // no-identification fold shortcut.
         std::vector<std::uint64_t> tx_mask(n, 0);
@@ -537,7 +537,7 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
         for (NodeId v = 0; v < n; ++v) {
           for (int l = 0; l < lanes; ++l) {
             if (rng.bernoulli(0.25)) tx_mask[v] |= std::uint64_t{1} << l;
-            planes[static_cast<std::size_t>(l) * n + v] =
+            planes[static_cast<std::size_t>(v) * lanes + l] =
                 7'000 * static_cast<Payload>(l + 1) + v;
           }
         }
@@ -558,15 +558,15 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
             std::vector<Payload> got_best(
                 static_cast<std::size_t>(lanes) * n, kNoPayload);
             BatchOutcome fold_out;
-            medium->resolve_lanes(tx, PayloadPlanes::lane_major(planes, n),
+            medium->resolve_lanes(tx, PayloadPlanes::node_major(planes, n),
                                   lanes,
-                                  KnowledgePlanes::lane_major(got_best, n),
+                                  KnowledgePlanes::node_major(got_best, n),
                                   fold_out);
             BatchOutcome shared_out;
             std::vector<Payload> shared_best(
                 static_cast<std::size_t>(lanes) * n, kNoPayload);
             medium->resolve_lanes(tx, shared, lanes,
-                                  KnowledgePlanes::lane_major(shared_best, n),
+                                  KnowledgePlanes::node_major(shared_best, n),
                                   shared_out);
             if (!have_want) {
               want = got;
@@ -577,15 +577,16 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
               std::vector<Payload> from_senders(
                   static_cast<std::size_t>(lanes) * n, kNoPayload);
               for (const auto& d : got_records) {
-                from_senders[static_cast<std::size_t>(d.lane) * n + d.node] =
-                    planes[static_cast<std::size_t>(d.lane) * n + d.from];
+                from_senders[static_cast<std::size_t>(d.node) * lanes +
+                             d.lane] =
+                    planes[static_cast<std::size_t>(d.from) * lanes + d.lane];
               }
               EXPECT_EQ(got_best, from_senders) << kind;
               for (const auto& d : shared_out.delivered) {
                 for (std::uint64_t hit = d.lanes; hit != 0; hit &= hit - 1) {
                   const int l = std::countr_zero(hit);
                   EXPECT_EQ(
-                      shared_best[static_cast<std::size_t>(l) * n + d.node],
+                      shared_best[static_cast<std::size_t>(d.node) * lanes + l],
                       42u);
                 }
               }
@@ -634,11 +635,11 @@ TEST(MediumBackends, RecoveryStrategyPinsThePath) {
     auto medium = make_medium(MediumKind::kBitslice, g,
                               CollisionModel::kNoDetection, 0, strategy);
     BatchOutcome out;
-    // Lane-major planes are never lane-invariant, so even an all-equal
+    // Node-major planes are never lane-invariant, so even an all-equal
     // buffer goes through sender recovery.
     for (int round = 0; round < 5; ++round) {
-      medium->resolve_lanes(tx, PayloadPlanes::lane_major(planes, n), 64,
-                            KnowledgePlanes::lane_major(best, n), out);
+      medium->resolve_lanes(tx, PayloadPlanes::node_major(planes, n), 64,
+                            KnowledgePlanes::node_major(best, n), out);
     }
     const PhaseTimers& t = medium->phase_timers();
     EXPECT_EQ(t.rounds, 5u);
@@ -650,7 +651,7 @@ TEST(MediumBackends, RecoveryStrategyPinsThePath) {
     // The constant-plane fold: kAuto folds with no sender identification
     // (counted as neither); kRowScan recovers senders as usual.
     medium->resolve_lanes(tx, shared, 64,
-                          KnowledgePlanes::lane_major(best, n), out);
+                          KnowledgePlanes::node_major(best, n), out);
     const bool folds = strategy == RecoveryStrategy::kAuto;
     EXPECT_EQ(medium->phase_timers().constfold_rounds, folds ? 1u : 0u);
     EXPECT_EQ(medium->phase_timers().rowscan_rounds, folds ? 0u : 1u);

@@ -1,22 +1,25 @@
-// Bitslice's work-stealing gather pool: dense rounds run degree-balanced
-// listener slices on the pool, per-slice outputs merge in slice-index
-// order, and workers and slices only move cost — so every observable
-// (per-lane senders, order included; masks; planes; counters) must be
+// Bitslice's gather pool: dense rounds run degree-balanced listener
+// slices on the pool, per-slice outputs merge in slice-index order, and
+// workers and slices only move cost — so every observable (per-lane
+// senders, order included; masks; planes; counters) must be
 // BYTE-IDENTICAL to the serial (1-worker) medium for any worker count, any
-// slice count and any steal interleaving. Plus the node-major/lane-major
-// knowledge-plane differential across both backends: the layout is a
-// view, never a semantic.
+// slice count and any claim interleaving. Plus the pool itself (every
+// index exactly once, generation reuse, teardown) and the node-major
+// per-lane-payload differential across both backends.
 #include "radio/medium_bitslice.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "lane_deliveries.hpp"
 #include "radio/medium.hpp"
+#include "radio/slice_pool.hpp"
 #include "util/rng.hpp"
 
 namespace radiocast::radio {
@@ -93,7 +96,7 @@ std::vector<BatchObservables> run_workload(const Graph& g,
     std::vector<Payload> planes(static_cast<std::size_t>(lanes) * n);
     for (int l = 0; l < lanes; ++l) {
       for (NodeId v = 0; v < n; ++v) {
-        planes[static_cast<std::size_t>(l) * n + v] =
+        planes[static_cast<std::size_t>(v) * lanes + l] =
             9'000 * static_cast<Payload>(l + 1) + v;
       }
     }
@@ -104,7 +107,7 @@ std::vector<BatchObservables> run_workload(const Graph& g,
 
     const std::vector<Payload> constant(n, 5);
     for (const PayloadPlanes payload :
-         {PayloadPlanes::lane_major(planes, n), PayloadPlanes(constant)}) {
+         {PayloadPlanes::node_major(planes, n), PayloadPlanes(constant)}) {
       std::vector<Payload> best(static_cast<std::size_t>(lanes) * n,
                                 kNoPayload);
       BatchOutcome fold;
@@ -141,7 +144,8 @@ std::vector<BatchObservables> run_workload(const Graph& g,
 // The pool's contract: outcomes for 4 and 7 workers — over the default slice
 // layout and over forced one-node slices — are byte-identical to the
 // serial medium's, under both recovery strategies. The serial run has no
-// pool; the pooled runs steal arbitrarily — none of it may show.
+// pool; in the pooled runs any thread may claim any slice — none of it
+// may show.
 TEST(MediumPool, WorkerCountByteDeterminism) {
   util::Rng grng(71);
   const Graph g = graph::gnp(260, 0.05, grng);
@@ -167,11 +171,11 @@ TEST(MediumPool, WorkerCountByteDeterminism) {
   }
 }
 
-// Forced-steal stress: one-node slices make every worker's own deque tiny
-// and guarantee heavy stealing; outcomes still match the serial run
-// exactly, over many repetitions to shake interleavings — and the pool
-// reports the steals it made.
-TEST(MediumPool, ForcedStealStaysDeterministic) {
+// One-node slices: every gather round hands the pool one claim per
+// listener, so the workers interleave as finely as they can; outcomes
+// still match the serial run exactly, over many repetitions to shake
+// interleavings.
+TEST(MediumPool, OneNodeSlicesStayDeterministic) {
   util::Rng grng(72);
   const Graph g = graph::gnp(150, 0.08, grng);
   const NodeId n = g.node_count();
@@ -197,8 +201,6 @@ TEST(MediumPool, ForcedStealStaysDeterministic) {
     ASSERT_EQ(out_a.delivered_count, out_b.delivered_count);
     ASSERT_EQ(out_a.active_listeners, out_b.active_listeners);
   }
-  EXPECT_EQ(one.phase_timers().steal_attempts, 0u);
-  EXPECT_GT(many.phase_timers().steal_attempts, 0u);
 }
 
 // Worker count: explicit, capped at the node count; serial media keep
@@ -224,13 +226,11 @@ TEST(MediumPool, WorkerAndSliceCounts) {
             3);
 }
 
-// Node-major vs lane-major knowledge planes: same fold, different view.
-// For every backend (bitslice serial and pooled), folding into a
-// node-major buffer and into a
-// lane-major buffer must produce the same (lane, node) values — pinned by
-// remapping one onto the other — and the payload side must agree too when
-// the planes come in node-major form.
-TEST(MediumPool, NodeMajorLaneMajorDifferentialAllBackends) {
+// Node-major per-lane payload planes: every backend (scalar, bitslice
+// serial and pooled) must fold the same (lane, node) values and report
+// the same masks and counters, and each delivered value must be the
+// sender's own-lane payload.
+TEST(MediumPool, NodeMajorPerLaneDifferentialAllBackends) {
   util::Rng rng(75);
   const Graph g = graph::gnp(140, 0.06, rng);
   const NodeId n = g.node_count();
@@ -239,42 +239,47 @@ TEST(MediumPool, NodeMajorLaneMajorDifferentialAllBackends) {
                                                  {MediumKind::kBitslice, 4}};
   for (const int lanes : {7, 64}) {
     const auto tx = active_list(random_mask(n, lanes, 0.2, rng));
-    // Same logical payloads in both layouts.
-    std::vector<Payload> lane_major_payload(
-        static_cast<std::size_t>(lanes) * n);
-    std::vector<Payload> node_major_payload(
-        static_cast<std::size_t>(lanes) * n);
+    std::vector<Payload> payload(static_cast<std::size_t>(lanes) * n);
     for (int l = 0; l < lanes; ++l) {
       for (NodeId v = 0; v < n; ++v) {
-        const Payload p = 3'000 * static_cast<Payload>(l + 1) + v;
-        lane_major_payload[static_cast<std::size_t>(l) * n + v] = p;
-        node_major_payload[static_cast<std::size_t>(v) * lanes + l] = p;
+        payload[static_cast<std::size_t>(v) * lanes + l] =
+            3'000 * static_cast<Payload>(l + 1) + v;
       }
     }
+    // Delivery order is first-touch order, which differs across backends;
+    // the per-listener lane masks do not.
+    auto masks = [n](const BatchOutcome& o) {
+      std::vector<std::uint64_t> m(n, 0);
+      for (const auto& d : o.delivered) m[d.node] = d.lanes;
+      return m;
+    };
+    std::vector<Payload> want_best;
+    BatchOutcome want;
     for (const auto& [kind, threads] : kAll) {
       auto medium =
           make_medium(kind, g, CollisionModel::kNoDetection, threads);
-      std::vector<Payload> best_lm(static_cast<std::size_t>(lanes) * n,
-                                   kNoPayload);
-      std::vector<Payload> best_nm(static_cast<std::size_t>(lanes) * n,
-                                   kNoPayload);
-      BatchOutcome out_lm, out_nm;
-      medium->resolve_lanes(
-          tx, PayloadPlanes::lane_major(lane_major_payload, n), lanes,
-          KnowledgePlanes::lane_major(best_lm, n), out_lm);
-      medium->resolve_lanes(
-          tx, PayloadPlanes::node_major(node_major_payload, n), lanes,
-          KnowledgePlanes::node_major(best_nm, n), out_nm);
-      EXPECT_EQ(out_lm.delivered, out_nm.delivered) << to_string(kind);
-      EXPECT_EQ(out_lm.delivered_count, out_nm.delivered_count)
-          << to_string(kind);
-      for (int l = 0; l < lanes; ++l) {
-        for (NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(best_lm[static_cast<std::size_t>(l) * n + v],
-                    best_nm[static_cast<std::size_t>(v) * lanes + l])
-              << to_string(kind) << " lane " << l << " node " << v;
+      std::vector<Payload> best(static_cast<std::size_t>(lanes) * n,
+                                kNoPayload);
+      BatchOutcome out;
+      medium->resolve_lanes(tx, PayloadPlanes::node_major(payload, n), lanes,
+                            KnowledgePlanes::node_major(best, n), out);
+      if (kind == MediumKind::kScalar) {
+        BatchOutcome ids;
+        for (const LaneDelivery& d : lane_deliveries(*medium, tx, lanes, ids)) {
+          ASSERT_EQ(best[static_cast<std::size_t>(d.node) * lanes + d.lane],
+                    3'000 * static_cast<Payload>(d.lane + 1) + d.from)
+              << "lane " << d.lane << " node " << d.node;
         }
+        want_best = std::move(best);
+        want = out;
+        continue;
       }
+      const std::string ctx =
+          std::string(to_string(kind)) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(best, want_best) << ctx;
+      EXPECT_EQ(masks(out), masks(want)) << ctx;
+      EXPECT_EQ(out.delivered_count, want.delivered_count) << ctx;
+      EXPECT_EQ(out.transmitter_count, want.transmitter_count) << ctx;
     }
   }
 }
@@ -301,22 +306,68 @@ TEST(MediumPool, ImplicitSinglePlaneRejectsMultiLane) {
   // plane, each node's word the max over the lanes it received in.
   std::vector<Payload> planes(static_cast<std::size_t>(8) * n);
   for (std::size_t i = 0; i < planes.size(); ++i) planes[i] = 10 + i;
-  const PayloadPlanes per_lane = PayloadPlanes::lane_major(planes, n);
+  const PayloadPlanes per_lane = PayloadPlanes::node_major(planes, n);
   std::vector<Payload> lane_best(static_cast<std::size_t>(8) * n, kNoPayload);
   std::vector<Payload> heard(n, kNoPayload);
   BatchOutcome lane_out, shared_out;
   medium.resolve_lanes(tx, per_lane, 8,
-                       KnowledgePlanes::lane_major(lane_best, n), lane_out);
+                       KnowledgePlanes::node_major(lane_best, n), lane_out);
   medium.resolve_lanes(tx, per_lane, 8, KnowledgePlanes::shared(heard),
                        shared_out);
   EXPECT_EQ(shared_out.delivered, lane_out.delivered);
   for (NodeId v = 0; v < n; ++v) {
     Payload want = kNoPayload;
     for (int l = 0; l < 8; ++l) {
-      const Payload b = lane_best[static_cast<std::size_t>(l) * n + v];
+      const Payload b = lane_best[static_cast<std::size_t>(v) * 8 + l];
       if (b != kNoPayload && (want == kNoPayload || b > want)) want = b;
     }
     EXPECT_EQ(heard[v], want) << "node " << v;
+  }
+}
+
+// The pool's own contract: run(count, job) calls job(i) exactly once for
+// every i < count and returns only after the last call, for any worker
+// count; one pool serves many back-to-back runs (each a new generation of
+// the kick/wait handshake); a pool that never ran tears down cleanly. The
+// counters are plain ints on purpose: under TSan, a missing happens-before
+// between a worker's writes and run()'s return is a reported race.
+TEST(MediumPool, RunsEachIndexExactlyOnce) {
+  for (const int workers : {2, 4, 7}) {
+    { const SlicePool idle(workers); }
+    SlicePool pool(workers);
+    EXPECT_EQ(pool.workers(), workers);
+    for (const std::size_t count : {0u, 1u, 3u, 1000u}) {
+      std::vector<int> hits(count, 0);
+      auto job = [&](std::size_t i) { ++hits[i]; };
+      pool.run(count, job);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(hits[i], 1) << "workers=" << workers << " count=" << count
+                              << " index=" << i;
+      }
+    }
+    std::vector<int> hits(64, 0);
+    auto job = [&](std::size_t i) { ++hits[i]; };
+    for (int run = 0; run < 200; ++run) pool.run(hits.size(), job);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], 200) << "workers=" << workers << " index=" << i;
+    }
+  }
+}
+
+// A throwing job surfaces on the caller once every worker is done, the
+// other indices still run, and the pool stays usable.
+TEST(MediumPool, RethrowsAJobExceptionAndStaysUsable) {
+  SlicePool pool(4);
+  std::vector<int> hits(100, 0);
+  auto failing = [&](std::size_t i) {
+    if (i == 37) throw std::runtime_error("slice 37");
+    ++hits[i];
+  };
+  EXPECT_THROW(pool.run(hits.size(), failing), std::runtime_error);
+  auto job = [&](std::size_t i) { ++hits[i]; };
+  pool.run(hits.size(), job);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], i == 37 ? 1 : 2) << "index " << i;
   }
 }
 

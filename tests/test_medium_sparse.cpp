@@ -54,12 +54,12 @@ std::vector<std::uint64_t> make_round(NodeId n, int lanes, double density,
 
 /// Runs one round on bitslice (3 workers) and checks every observable
 /// against the scalar reference: per-lane senders, masks and counters
-/// through an id-plane fold, and the fold of the lane-major `planes`.
+/// through an id-plane fold, and the fold of the node-major `planes`.
 void check_against_scalar(const Graph& g, CollisionModel model, int lanes,
                           std::span<const ActiveTx> tx,
                           std::span<const Payload> planes) {
   const NodeId n = g.node_count();
-  const PayloadPlanes payload = PayloadPlanes::lane_major(planes, n);
+  const PayloadPlanes payload = PayloadPlanes::node_major(planes, n);
   const std::string ctx = "lanes=" + std::to_string(lanes) +
                           " model=" + std::to_string(static_cast<int>(model));
   auto scalar = make_medium(MediumKind::kScalar, g, model);
@@ -84,9 +84,9 @@ void check_against_scalar(const Graph& g, CollisionModel model, int lanes,
   std::vector<Payload> got_best = want_best;
   BatchOutcome want_fold, got_fold;
   scalar->resolve_lanes(tx, payload, lanes,
-                        KnowledgePlanes::lane_major(want_best, n), want_fold);
+                        KnowledgePlanes::node_major(want_best, n), want_fold);
   bitslice->resolve_lanes(tx, payload, lanes,
-                          KnowledgePlanes::lane_major(got_best, n), got_fold);
+                          KnowledgePlanes::node_major(got_best, n), got_fold);
   EXPECT_EQ(got_best, want_best) << ctx;  // byte-identical planes
   EXPECT_EQ(lane_masks(got_fold.delivered, n), lane_masks(want.delivered, n))
       << ctx;
@@ -113,7 +113,7 @@ TEST(MediumSparse, DifferentialAgainstScalar) {
           std::vector<Payload> planes(static_cast<std::size_t>(lanes) * n);
           for (int l = 0; l < lanes; ++l) {
             for (NodeId v = 0; v < n; ++v) {
-              planes[static_cast<std::size_t>(l) * n + v] =
+              planes[static_cast<std::size_t>(v) * lanes + l] =
                   5'000 * static_cast<Payload>(l + 1) + v;
             }
           }
@@ -293,10 +293,10 @@ TEST(MediumSparse, SplitAndDuplicateEntriesMatchOneEntryPerNode) {
       std::vector<Payload> got_best = want_best;
       BatchOutcome fold_want, fold_got;
       medium->resolve_lanes(once, planes, lanes,
-                            KnowledgePlanes::lane_major(want_best, n),
+                            KnowledgePlanes::node_major(want_best, n),
                             fold_want);
       medium->resolve_lanes(entries, planes, lanes,
-                            KnowledgePlanes::lane_major(got_best, n),
+                            KnowledgePlanes::node_major(got_best, n),
                             fold_got);
       EXPECT_EQ(got_best, want_best) << ctx;
 
@@ -304,7 +304,7 @@ TEST(MediumSparse, SplitAndDuplicateEntriesMatchOneEntryPerNode) {
       bad.push_back({n, 1});
       BatchOutcome bad_out;
       EXPECT_THROW(medium->resolve_lanes(bad, planes, lanes,
-                                         KnowledgePlanes::lane_major(got_best, n),
+                                         KnowledgePlanes::node_major(got_best, n),
                                          bad_out),
                    std::invalid_argument)
           << ctx;
@@ -431,7 +431,7 @@ TEST(MediumSparse, PhaseTimersAttribution) {
   std::vector<Payload> planes(n);
   for (NodeId v = 0; v < n; ++v) planes[v] = v + 1;
   std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
-  const KnowledgePlanes view = KnowledgePlanes::lane_major(best, n);
+  const KnowledgePlanes view = KnowledgePlanes::node_major(best, n);
   auto medium = make_medium(MediumKind::kBitslice, g,
                             CollisionModel::kNoDetection);
   BatchOutcome out;

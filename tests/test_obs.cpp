@@ -318,23 +318,18 @@ TEST(Trace, DoesNotChangeReportBytesAtTimingOff) {
   EXPECT_FALSE(events_named(trace, "bitslice.round").empty());
 }
 
-TEST(Report, TimingGateControlsPoolRollupAndMetrics) {
+TEST(Report, TimingGateControlsMetrics) {
   const exp::SweepSpec spec = tiny_spec();
   const auto jobs = exp::expand(spec);
   sim::Runner runner(1);
   const auto results = exp::Planner().run(jobs, runner);
 
   const util::Json timed = exp::sweep_json(spec, results, /*timing=*/true);
-  const util::Json* pool = timed.find("pool");
-  ASSERT_NE(pool, nullptr);
-  ASSERT_NE(pool->find("steal_attempts"), nullptr);
-  ASSERT_NE(pool->find("steals"), nullptr);
-  ASSERT_NE(pool->find("idle_ns"), nullptr);
+  EXPECT_EQ(timed.find("pool"), nullptr);  // v3's steal rollup is gone
   ASSERT_NE(timed.find("metrics"), nullptr);
   ASSERT_NE(timed.find("metrics")->find("histograms"), nullptr);
 
   const util::Json untimed = exp::sweep_json(spec, results, /*timing=*/false);
-  EXPECT_EQ(untimed.find("pool"), nullptr);
   EXPECT_EQ(untimed.find("metrics"), nullptr);
 }
 

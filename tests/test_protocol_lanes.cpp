@@ -279,7 +279,7 @@ TEST(ProtocolLanes, DecayRoundLanesMatchesPerLaneScalarRuns) {
       if (setup.bernoulli(0.35)) {
         participates[v] |= std::uint64_t{1} << l;
       }
-      payload[static_cast<std::size_t>(l) * n + v] =
+      payload[static_cast<std::size_t>(v) * lanes + l] =
           1000 * static_cast<radio::Payload>(l + 1) + v;
     }
   }
@@ -294,20 +294,19 @@ TEST(ProtocolLanes, DecayRoundLanesMatchesPerLaneScalarRuns) {
   std::uint32_t batch_delivered = 0;
   for (int round = 0; round < 3; ++round) {
     batch_delivered += schedule::decay_round_lanes(
-        bn, participates, radio::PayloadPlanes::lane_major(payload, n),
-        radio::KnowledgePlanes::lane_major(best_batch, n), rngs, out);
+        bn, participates, radio::PayloadPlanes::node_major(payload, n),
+        radio::KnowledgePlanes::node_major(best_batch, n), rngs, out);
   }
 
   // Reference: one scalar Network run per lane with the same seed.
   std::uint32_t scalar_delivered = 0;
   for (int l = 0; l < lanes; ++l) {
     std::vector<std::uint64_t> part1(n, 0);
+    std::vector<radio::Payload> plane(n);
     for (NodeId v = 0; v < n; ++v) {
       part1[v] = participates[v] >> l & 1;
+      plane[v] = payload[static_cast<std::size_t>(v) * lanes + l];
     }
-    const auto plane_begin =
-        payload.begin() + static_cast<std::ptrdiff_t>(l) * n;
-    const std::vector<radio::Payload> plane(plane_begin, plane_begin + n);
     std::vector<radio::Payload> best1(n, radio::kNoPayload);
     util::Rng rng(seeds[static_cast<std::size_t>(l)]);
     radio::Network net(g);
@@ -317,7 +316,7 @@ TEST(ProtocolLanes, DecayRoundLanesMatchesPerLaneScalarRuns) {
           net, part1, plane, best1, std::span<util::Rng>(&rng, 1), out1);
     }
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(best_batch[static_cast<std::size_t>(l) * n + v], best1[v])
+      ASSERT_EQ(best_batch[static_cast<std::size_t>(v) * lanes + l], best1[v])
           << "lane " << l << " node " << v;
     }
   }
@@ -378,8 +377,8 @@ TEST(ProtocolLanes, RejectsLaneOverflowAndBadPlanes) {
   EXPECT_THROW(
       schedule::decay_step_lanes(
           bn, participates,
-          radio::PayloadPlanes::lane_major(small_planes, g.node_count()), 1,
-          radio::KnowledgePlanes::lane_major(best, g.node_count()), rngs, out),
+          radio::PayloadPlanes::node_major(small_planes, g.node_count()), 1,
+          radio::KnowledgePlanes::node_major(best, g.node_count()), rngs, out),
       std::invalid_argument);  // payload planes cover fewer lanes than rngs
 }
 
