@@ -6,13 +6,12 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "graph/algorithms.hpp"
-#include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 
@@ -48,47 +47,10 @@ void chunk_range(std::uint64_t domain, int chunks, int c, std::uint64_t& lo,
   hi = domain * (ui + 1) / uc;
 }
 
-/// Runs fn(c) for every chunk over up to `threads` workers (atomic work
-/// stealing — chunks are independent, so schedule order is free). The
-/// first exception thrown by any chunk is rethrown on the caller.
+/// Runs fn(c) for every chunk over up to `threads` workers (chunks are
+/// independent, so schedule order is free).
 void run_chunks(int chunks, int threads, const std::function<void(int)>& fn) {
-  threads = std::min(threads, chunks);
-  if (threads <= 1) {
-    for (int c = 0; c < chunks; ++c) {
-      const obs::TraceSpan span("pargen.chunk", "chunk",
-                                static_cast<std::uint64_t>(c));
-      fn(c);
-    }
-    return;
-  }
-  std::atomic<int> next{0};
-  std::exception_ptr error;
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  auto worker = [&](int w) {
-    if (obs::tracing_enabled()) {
-      obs::set_thread_name(("pargen-worker-" + std::to_string(w)).c_str());
-    }
-    while (!failed.load(std::memory_order_relaxed)) {
-      const int c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return;
-      const obs::TraceSpan span("pargen.chunk", "chunk",
-                                static_cast<std::uint64_t>(c));
-      try {
-        fn(c);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-  for (std::thread& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
+  util::parallel_for(chunks, threads, "pargen.chunk", "pargen-worker", fn);
 }
 
 // ------------------------------------------------------------- CSR assembly

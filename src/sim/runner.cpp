@@ -1,14 +1,10 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace radiocast::sim {
@@ -58,40 +54,6 @@ std::vector<util::OnlineStats> Runner::replicate_batched(
     }
   }
   return stats;
-}
-
-void Runner::run_indexed(int count, const std::function<void(int)>& task) {
-  if (count <= 0) return;
-  const int workers = std::min(threads_, count);
-  if (workers <= 1) {
-    for (int i = 0; i < count; ++i) task(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto worker = [&](int w) {
-    if (obs::tracing_enabled()) {
-      obs::set_thread_name(("runner-worker-" + std::to_string(w)).c_str());
-    }
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      const obs::TraceSpan span("runner.task", "index",
-                                static_cast<std::uint64_t>(i));
-      try {
-        task(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker, w);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::vector<util::OnlineStats> Runner::replicate(

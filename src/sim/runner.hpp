@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <vector>
 
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace radiocast::sim {
@@ -33,8 +33,10 @@ class Runner {
   auto map(int count, Fn&& fn) -> std::vector<decltype(fn(0))> {
     std::vector<decltype(fn(0))> results(
         static_cast<std::size_t>(count < 0 ? 0 : count));
-    run_indexed(count, [&](int i) { results[static_cast<std::size_t>(i)] =
-                                        fn(i); });
+    util::parallel_for(count, threads_, "runner.task", "runner-worker",
+                       [&](int i) {
+                         results[static_cast<std::size_t>(i)] = fn(i);
+                       });
     return results;
   }
 
@@ -66,10 +68,6 @@ class Runner {
           batch_body);
 
  private:
-  /// Runs task(i) for i in [0, count) over the worker pool; rethrows the
-  /// first captured exception after all workers join.
-  void run_indexed(int count, const std::function<void(int)>& task);
-
   int threads_;
 };
 
