@@ -20,14 +20,11 @@
 // cross-checksummed; the acceptance bar is the active-only list >= 5x the
 // n-entry list per tail round at n = 1e6 (full mode).
 //
-// Part 3 — knowledge-plane layout. The 64-lane max-fold kernel timed
-// against node-major vs lane-major best[] planes over one dense round's
-// deliveries; the acceptance bar is node-major >= 1.3x lane-major.
-//
 // Part 4 — pooled dense rounds. 64-lane gather-shaped resolve_lanes
-// rounds on bitslice at 1/2/4 workers: the work-stealing pool runs
+// rounds on bitslice at 1/2/4 workers: the slice pool runs
 // degree-balanced listener slices (slices x lanes); outcomes stay
-// byte-identical for every worker count.
+// byte-identical for every worker count. (Part numbers match the
+// recorded bench history, which still holds the retired Part 3.)
 //
 // Parts 1, 2 and 4 relay one fixed value, so their rounds fold a constant
 // plane into a shared knowledge plane: bitslice's const-fold skips sender
@@ -416,97 +413,6 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              "the n-entry list on tail rounds at n=1e6)");
   }
 
-  // ---- Part 3: knowledge-plane layout (node-major vs lane-major) -------
-  // The 64-lane max-fold writes each delivered listener's won lanes into
-  // best[]. Lane-major planes scatter those writes across 64 planes (one
-  // cache line each, n*sizeof(Payload) apart); node-major keeps a
-  // listener's lane words contiguous. The microbench times the fold kernel
-  // itself over a real round's delivered masks; the acceptance bar is
-  // node-major >= 1.3x lane-major.
-  {
-    util::Rng grng(util::mix_seed(seed, 5));
-    const graph::NodeId n = quick ? 20000 : 100000;
-    const graph::Graph g = graph::gnp(n, 10.0 / n, grng);
-    constexpr int kLanes = radio::kMaxLanes;
-    const std::uint64_t live = radio::lane_mask(kLanes);
-    std::vector<radio::ActiveTx> tx;
-    {
-      // ~25% per-lane transmit density: the fold-heavy regime where most
-      // listeners win in several lanes.
-      std::uint64_t state = util::mix_seed(seed, 6);
-      for (graph::NodeId v = 0; v < n; ++v) {
-        const std::uint64_t m =
-            util::splitmix64(state) & util::splitmix64(state) & live;
-        if (m != 0) tx.push_back({v, m});
-      }
-    }
-    const std::vector<radio::Payload> payload(n, kFloodValue);
-    std::vector<radio::Payload> best(static_cast<std::size_t>(kLanes) * n,
-                                     radio::kNoPayload);
-    radio::BatchOutcome out;
-    auto bitslice = radio::make_medium(radio::MediumKind::kBitslice, g,
-                                       radio::CollisionModel::kNoDetection);
-    bitslice->resolve_lanes(tx, payload, kLanes,
-                            radio::KnowledgePlanes::node_major(best, n), out);
-    std::uint64_t fold_writes = 0;
-    for (const auto& dm : out.delivered) {
-      fold_writes += std::popcount(dm.lanes);
-    }
-
-    const int iters = quick ? 30 : 60;
-    util::Table t({"best layout", "folds/round", "ns/round", "ns/fold",
-                   "speedup"});
-    double lane_major_ns = 0.0;
-    for (const bool node_major : {false, true}) {
-      const radio::KnowledgePlanes view =
-          node_major ? radio::KnowledgePlanes::node_major(best, n)
-                     : radio::KnowledgePlanes::lane_major(best, n);
-      const std::size_t bls = view.lane_stride();
-      // Monotonically growing payloads keep every fold a real write (the
-      // max always improves), so both layouts pay their write traffic.
-      std::fill(best.begin(), best.end(), radio::kNoPayload);
-      auto fold_round = [&](radio::Payload base) {
-        for (const auto& dm : out.delivered) {
-          radio::Payload* const brow = view.row(dm.node);
-          std::uint64_t hit = dm.lanes;
-          do {
-            const int lane = std::countr_zero(hit);
-            radio::Payload& b =
-                brow[static_cast<std::size_t>(lane) * bls];
-            const radio::Payload p =
-                base + static_cast<radio::Payload>(lane);
-            if (b == radio::kNoPayload || p > b) b = p;
-            hit &= hit - 1;
-          } while (hit != 0);
-        }
-      };
-      fold_round(1);  // warmup + first-touch
-      const double t0 = now_ms();
-      for (int i = 0; i < iters; ++i) {
-        fold_round(static_cast<radio::Payload>(100 + i * kLanes));
-      }
-      const double ns = (now_ms() - t0) * 1e6 / iters;
-      if (!node_major) lane_major_ns = ns;
-      t.row()
-          .add(node_major ? "node-major" : "lane-major")
-          .add(static_cast<double>(fold_writes), 0)
-          .add(ns, 0)
-          .add(fold_writes > 0 ? ns / static_cast<double>(fold_writes) : 0.0,
-               2)
-          .add(lane_major_ns > 0 && ns > 0 ? lane_major_ns / ns : 1.0, 2);
-      ctx.record({"fold-layout", node_major ? 1 : 0,
-                  static_cast<double>(fold_writes), ns, ns, "bitslice",
-                  kLanes, node_major ? "node-major" : "lane-major", 0.0, 0.0,
-                  0.0, 0.0});
-    }
-    ctx.emit(t,
-             "64-lane max-fold into best[] planes, one dense round's "
-             "deliveries on gnp(n=" + std::to_string(n) + ", avg_deg~10)",
-             "medium_backends_fold_layout");
-    ctx.note("(node-major puts each listener's 64 lane words in one "
-             "contiguous run; acceptance bar is >= 1.3x lane-major)");
-  }
-
   // ---- Part 4: pooled dense rounds (slices x 64 lanes) ----------------
   // Every slice runs the 64-lane gather kernel, so the pooled round is
   // worker-parallel ON TOP of lane-parallel. Outcomes are byte-identical
@@ -565,7 +471,7 @@ RADIOCAST_SCENARIO(medium_backends, "medium-backends",
              "64-lane batch rounds on gnp(n=" + std::to_string(n) +
                  ", avg_deg~10), dense shape",
              "medium_backends_two_level");
-    ctx.note("(bitslice gather rounds on the work-stealing pool: slices x "
+    ctx.note("(bitslice gather rounds on the slice pool: slices x "
              "64 lanes; outcomes byte-identical for every worker count — "
              "scaling needs cores, this host has hardware_concurrency=" +
              std::to_string(std::thread::hardware_concurrency()) + ")");

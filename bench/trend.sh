@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # trend.sh — headline performance trend for the medium backends.
 #
-# Runs the medium-backends scenario, extracts the four headline speedups
+# Runs the medium-backends scenario, extracts the three headline speedups
 # from its CSV output, writes them as bench_out/trend.json, and checks
 # them against the committed BENCH_baseline.json acceptance bars:
 #
 #   batch_reps_speedup    bitslice 64-seed replication vs scalar  (>= 8x)
 #   sparse_tail_speedup   bitslice active-only vs n-entry list
 #                         on tail rounds                          (>= 5x)
-#   fold_layout_speedup   node-major vs lane-major 64-lane fold   (>= 1.3x)
 #   sharded_scaling_w4    bitslice 4-worker vs 1-worker dense     (>= 2x,
 #                         batch (key name kept for history)       enforced
 #                         only on hosts with >= 4 cores)
@@ -20,7 +19,7 @@
 #           results are reported but never enforced)
 # --strict  exit 1 when an enforced bar is missed (default: warn only)
 # --append  also append one compact JSON line to <repo>/BENCH_history.jsonl
-#           (date, git revision, mode, cores, the four metrics) — the
+#           (date, git revision, mode, cores, the three metrics) — the
 #           cross-PR perf trajectory; summarize it with bench/history.sh
 set -euo pipefail
 
@@ -72,7 +71,6 @@ col() {
 
 batch=$(col "${out_dir}/medium_backends_batch.csv" '^bitslice,' 'speedup')
 tail_sp=$(col "${out_dir}/medium_backends_sparse_tail.csv" '^active-only,' 'tail speedup')
-fold=$(col "${out_dir}/medium_backends_fold_layout.csv" '^node-major,' 'speedup')
 scale=$(col "${out_dir}/medium_backends_two_level.csv" '^bitslice,4,' 'scaling')
 
 cores=$(nproc 2>/dev/null || echo 1)
@@ -85,7 +83,6 @@ cat > "${out_dir}/trend.json" <<EOF
   "metrics": {
     "batch_reps_speedup": ${batch},
     "sparse_tail_speedup": ${tail_sp},
-    "fold_layout_speedup": ${fold},
     "sharded_scaling_w4": ${scale}
   }
 }
@@ -97,10 +94,10 @@ if [[ ${append} -eq 1 ]]; then
   rev=$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)
   # A metric the CSVs did not produce is "nan" — valid JSON needs null.
   jnum() { if [[ "$1" == "nan" ]]; then echo null; else echo "$1"; fi; }
-  printf '{"date":"%s","rev":"%s","mode":"%s","cores":%s,"batch_reps_speedup":%s,"sparse_tail_speedup":%s,"fold_layout_speedup":%s,"sharded_scaling_w4":%s}\n' \
+  printf '{"date":"%s","rev":"%s","mode":"%s","cores":%s,"batch_reps_speedup":%s,"sparse_tail_speedup":%s,"sharded_scaling_w4":%s}\n' \
     "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "${rev}" "${mode}" "${cores}" \
-    "$(jnum "${batch}")" "$(jnum "${tail_sp}")" "$(jnum "${fold}")" \
-    "$(jnum "${scale}")" >> "${history_file}"
+    "$(jnum "${batch}")" "$(jnum "${tail_sp}")" "$(jnum "${scale}")" \
+    >> "${history_file}"
   echo "[trend] appended to ${history_file}"
 fi
 
@@ -128,7 +125,6 @@ if [[ ${cores} -lt 4 ]]; then scale_enforce=0; fi
 
 check batch_reps_speedup  "${batch}"   8.0  "${enforce}"
 check sparse_tail_speedup "${tail_sp}" 5.0  "${enforce}"
-check fold_layout_speedup "${fold}"    1.3  "${enforce}"
 check sharded_scaling_w4  "${scale}"   2.0  "${scale_enforce}"
 
 if [[ ${fail} -eq 1 && ${strict} -eq 1 ]]; then
