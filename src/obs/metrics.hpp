@@ -3,7 +3,7 @@
 //
 // obs::Metrics is the aggregate complement of the trace: where the trace
 // answers "when did this span run on which thread", metrics answer "how
-// were round latencies / task walls / steal counts distributed over the
+// were round latencies / task walls / generation costs distributed over the
 // whole run". Instruments register lazily by name and live for the process
 // (references returned by counter()/gauge()/histogram() are stable
 // forever; reset() zeroes values but never invalidates them), so hot sites
@@ -56,7 +56,7 @@ class Gauge {
 };
 
 /// Log2-bucketed distribution of non-negative integer samples (latencies
-/// in ns, steal counts, reps). Bucket b counts samples v with
+/// in ns, counts, reps). Bucket b counts samples v with
 /// bit_width(v) == b: bucket 0 holds v = 0, bucket b >= 1 holds
 /// [2^(b-1), 2^b). Fixed 65 buckets cover the whole uint64 range, so
 /// record() is two relaxed fetch_adds and a bit_width — no allocation, no

@@ -48,8 +48,8 @@ class BitsliceMedium final : public Medium {
   /// `threads` is the gather-round worker count: 0 defers to the
   /// RADIOCAST_SHARD_THREADS environment variable when set, else 1 (serial,
   /// no pool threads). `slices` is the pooled gather's slice count; 0
-  /// means one slice per ~16k adjacency entries. Neither
-  /// changes an outcome — only where the cost lands.
+  /// means one slice per ~16k adjacency entries. Neither changes an
+  /// outcome — only where the cost lands.
   BitsliceMedium(const graph::Graph& g, CollisionModel model, int threads = 0,
                  int slices = 0);
   ~BitsliceMedium() override;

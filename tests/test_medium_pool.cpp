@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -330,7 +332,9 @@ TEST(MediumPool, ImplicitSinglePlaneRejectsMultiLane) {
 // count; one pool serves many back-to-back runs (each a new generation of
 // the kick/wait handshake); a pool that never ran tears down cleanly. The
 // counters are plain ints on purpose: under TSan, a missing happens-before
-// between a worker's writes and run()'s return is a reported race.
+// between a worker's writes and run()'s return is a reported race. The
+// first jobs sleep so the parked threads wake while indices are left, and
+// a run() that returned before its workers finished would show a miss.
 TEST(MediumPool, RunsEachIndexExactlyOnce) {
   for (const int workers : {2, 4, 7}) {
     { const SlicePool idle(workers); }
@@ -338,7 +342,10 @@ TEST(MediumPool, RunsEachIndexExactlyOnce) {
     EXPECT_EQ(pool.workers(), workers);
     for (const std::size_t count : {0u, 1u, 3u, 1000u}) {
       std::vector<int> hits(count, 0);
-      auto job = [&](std::size_t i) { ++hits[i]; };
+      auto job = [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(10));
+        ++hits[i];
+      };
       pool.run(count, job);
       for (std::size_t i = 0; i < count; ++i) {
         ASSERT_EQ(hits[i], 1) << "workers=" << workers << " count=" << count
