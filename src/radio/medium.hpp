@@ -27,8 +27,8 @@
 //              itself, so a sparse round costs O(active work) — never an
 //              O(n) mask scan — and with more than one worker its dense
 //              (gather) rounds run on a slice pool over degree-balanced
-//              listener slices. Its resolve() is the same
-//              fold over a one-lane plane of sender ids
+//              listener slices. Its resolve() is the same fold over a
+//              one-lane plane of sender ids
 //
 // Both backends implement identical interference semantics — the
 // cross-backend differential test (tests/test_medium_backends.cpp) holds
