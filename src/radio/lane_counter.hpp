@@ -5,14 +5,14 @@
 // Cost model. A plain vertical counter ripples each mask's carry up its
 // bit planes until no lane carries any more; with 64 lanes some lane
 // almost always still carries, so an add walks ~log2(count) planes and
-// ends on a mispredicted exit (~40 cycles per add at 64 lanes). Instead,
-// masks are buffered in blocks of 16 and each full block is reduced by a
-// Harley–Seal carry-save-adder tree (15 CSAs of 5 word ops; Muła, Kurz and
-// Lemire, "Faster Population Counts Using AVX2 Instructions",
-// arXiv:1611.07612) into running ones/twos/fours/eights words, bits 0-3 of
-// every count. Only the tree's sixteens word (one carry out of bit 3 per
-// lane) ripples into the high planes, once per 16 adds. That is ~5 word
-// ops plus a buffered store per add.
+// ends on a mispredicted exit. Instead, masks are buffered in blocks of 16
+// and each full block is reduced by a Harley–Seal carry-save-adder tree
+// (15 CSAs of 5 word ops; Muła, Kurz and Lemire, "Faster Population
+// Counts Using AVX2 Instructions", arXiv:1611.07612) into running
+// ones/twos/fours/eights words, bits 0-3 of every count. Only the tree's
+// sixteens word (one carry out of bit 3 per lane) ripples into the high
+// planes, once per 16 adds. That is ~5 word ops plus a buffered store per
+// add.
 #pragma once
 
 #include <array>
