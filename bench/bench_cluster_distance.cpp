@@ -33,7 +33,7 @@ RADIOCAST_SCENARIO(cluster_distance, "cluster-distance",
                                                     quick ? 256 : 768));
   if (!quick) {
     instances.push_back(sim::make_grid_instance(64, 128));
-    instances.push_back(sim::make_rgg_instance(4096, 0.025, rng));
+    instances.push_back(sim::make_rgg_instance(4096, 0.025, rng()));
   }
 
   for (const auto& inst : instances) {

@@ -54,8 +54,8 @@ RADIOCAST_SCENARIO(collision_detection, "collision-detection",
   std::vector<sim::Instance> instances;
   instances.push_back(sim::make_grid_instance(quick ? 15 : 30,
                                               quick ? 30 : 60));
-  instances.push_back(
-      sim::make_rgg_instance(quick ? 400 : 1200, quick ? 0.08 : 0.045, rng));
+  instances.push_back(sim::make_rgg_instance(quick ? 400 : 1200,
+                                             quick ? 0.08 : 0.045, rng()));
 
   util::Table t({"graph", "BGI (no CD)", "layered CD", "CD/BGI",
                  "GHK bound D+log^6 n", "beep-wave stalls w/o CD"});

@@ -20,7 +20,7 @@ RADIOCAST_SCENARIO(multi_message_k, "multi-message-k",
   util::Rng rng(seed);
 
   const sim::Instance inst = sim::make_rgg_instance(
-      quick ? 500 : 2000, quick ? 0.07 : 0.035, rng);
+      quick ? 500 : 2000, quick ? 0.07 : 0.035, rng());
   util::Table t({"k", "rounds", "period", "ideal P*(D+k)",
                  "pipeline ratio"});
   std::vector<double> ks, rounds;

@@ -28,7 +28,7 @@ RADIOCAST_SCENARIO(partition, "partition",
   instances.push_back(sim::make_grid_instance(quick ? 40 : 80,
                                               quick ? 40 : 80));
   if (!quick) {
-    instances.push_back(sim::make_rgg_instance(4000, 0.03, rng));
+    instances.push_back(sim::make_rgg_instance(4000, 0.03, rng()));
     instances.push_back(sim::make_cliquepath_instance(4000, 400));
   }
 

@@ -34,7 +34,7 @@ RADIOCAST_SCENARIO(validity, "validity",
   instances.push_back(sim::make_grid_instance(quick ? 30 : 50,
                                               quick ? 30 : 50));
   if (!quick) {
-    instances.push_back(sim::make_rgg_instance(2000, 0.04, rng));
+    instances.push_back(sim::make_rgg_instance(2000, 0.04, rng()));
   }
 
   util::Table t({"graph", "beta", "risky frac", "q p95", "valid% bg ON",

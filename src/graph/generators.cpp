@@ -1,36 +1,30 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "graph/algorithms.hpp"
 #include "graph/pargen.hpp"
 
 namespace radiocast::graph {
 
 namespace {
 
-/// Connects the components of the edge set described by `builder` by adding
-/// one edge between a representative of consecutive components. Component
-/// representatives are discovered on the built graph.
-Graph build_connected(GraphBuilder& builder) {
-  Graph g = builder.build();
-  const std::vector<NodeId> comp = connected_components(g);
-  NodeId comp_count = 0;
-  for (NodeId c : comp) comp_count = std::max(comp_count, static_cast<NodeId>(c + 1));
-  if (comp_count <= 1) return g;
-  std::vector<NodeId> representative(comp_count, kInvalidNode);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (representative[comp[v]] == kInvalidNode) representative[comp[v]] = v;
+/// Cliques of the given sizes strung on a path: the last node of each bead
+/// is joined to the first node of the next.
+Graph clique_path(const std::vector<NodeId>& bead_sizes) {
+  NodeId n = 0;
+  for (const NodeId size : bead_sizes) n += size;
+  GraphBuilder b(n);
+  NodeId start = 0;
+  for (const NodeId size : bead_sizes) {
+    for (NodeId i = 0; i < size; ++i) {
+      for (NodeId j = i + 1; j < size; ++j) b.add_edge(start + i, start + j);
+    }
+    if (start > 0) b.add_edge(start - 1, start);
+    start += size;
   }
-  for (NodeId c = 1; c < comp_count; ++c) {
-    builder.add_edge(representative[c - 1], representative[c]);
-  }
-  return builder.build();
+  return b.build();
 }
 
 }  // namespace
@@ -137,108 +131,19 @@ Graph hypercube(std::uint32_t dim) {
   return b.build();
 }
 
+// The random families are seed-based in graph::pargen; drawing one word from
+// the caller's stream keeps the Rng& convention of this header without a
+// second copy of any sampler.
+
 Graph gnp(NodeId n, double p, util::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("gnp: n must be >= 1");
-  GraphBuilder b(n);
-  if (p >= 1.0) return clique(n);
-  if (p > 0.0) {
-    // Geometric skipping over the implicit edge enumeration: expected work
-    // O(n + m) instead of O(n^2).
-    const double log1mp = std::log1p(-p);
-    std::uint64_t idx = 0;  // linear index into the strictly-upper triangle
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(n) * (n - 1) / 2;
-    while (true) {
-      const double u = rng.uniform_real();
-      const std::uint64_t skip =
-          static_cast<std::uint64_t>(std::floor(std::log1p(-u) / log1mp));
-      if (total - idx <= skip) break;
-      idx += skip;
-      // Decode idx -> (row, col) in the upper triangle.
-      // Row r occupies indices [r*n - r(r+1)/2 ... ) of width n-1-r.
-      NodeId r = 0;
-      std::uint64_t rem = idx;
-      // Binary search the row to keep this O(log n).
-      NodeId lo = 0, hi = n - 1;
-      while (lo < hi) {
-        const NodeId mid = lo + (hi - lo) / 2;
-        const std::uint64_t start =
-            static_cast<std::uint64_t>(mid) * n -
-            static_cast<std::uint64_t>(mid) * (mid + 1) / 2;
-        if (start <= idx) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      r = lo - 1;
-      const std::uint64_t row_start =
-          static_cast<std::uint64_t>(r) * n -
-          static_cast<std::uint64_t>(r) * (r + 1) / 2;
-      rem = idx - row_start;
-      const NodeId c = static_cast<NodeId>(r + 1 + rem);
-      b.add_edge(r, c);
-      ++idx;
-      if (idx >= total) break;
-    }
-  }
-  return build_connected(b);
+  return pargen::gnp(n, p, rng());
 }
 
 Graph random_geometric(NodeId n, double radius, util::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("rgg: n must be >= 1");
-  if (radius <= 0.0) throw std::invalid_argument("rgg: radius must be > 0");
-  std::vector<double> xs(n), ys(n);
-  for (NodeId i = 0; i < n; ++i) {
-    xs[i] = rng.uniform_real();
-    ys[i] = rng.uniform_real();
-  }
-  // Grid hashing with cell size = radius: only neighbouring cells checked.
-  const double cell = radius;
-  const std::uint32_t cells =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(1.0 / cell));
-  std::vector<std::vector<NodeId>> buckets(
-      static_cast<std::size_t>(cells) * cells);
-  auto bucket_of = [&](double x, double y) {
-    std::uint32_t cx = std::min<std::uint32_t>(
-        cells - 1, static_cast<std::uint32_t>(x * cells));
-    std::uint32_t cy = std::min<std::uint32_t>(
-        cells - 1, static_cast<std::uint32_t>(y * cells));
-    return static_cast<std::size_t>(cy) * cells + cx;
-  };
-  for (NodeId i = 0; i < n; ++i) buckets[bucket_of(xs[i], ys[i])].push_back(i);
-
-  GraphBuilder b(n);
-  const double r2 = radius * radius;
-  for (std::uint32_t cy = 0; cy < cells; ++cy) {
-    for (std::uint32_t cx = 0; cx < cells; ++cx) {
-      const auto& here = buckets[static_cast<std::size_t>(cy) * cells + cx];
-      for (std::int32_t dy = 0; dy <= 1; ++dy) {
-        for (std::int32_t dx = (dy == 0 ? 0 : -1); dx <= 1; ++dx) {
-          const std::int64_t ny = static_cast<std::int64_t>(cy) + dy;
-          const std::int64_t nx = static_cast<std::int64_t>(cx) + dx;
-          if (ny < 0 || nx < 0 || ny >= cells || nx >= cells) continue;
-          const auto& there =
-              buckets[static_cast<std::size_t>(ny) * cells + nx];
-          const bool same = (dy == 0 && dx == 0);
-          for (std::size_t a = 0; a < here.size(); ++a) {
-            const std::size_t b0 = same ? a + 1 : 0;
-            for (std::size_t bi = b0; bi < there.size(); ++bi) {
-              const NodeId u = here[a], v = there[bi];
-              const double ddx = xs[u] - xs[v], ddy = ys[u] - ys[v];
-              if (ddx * ddx + ddy * ddy <= r2) b.add_edge(u, v);
-            }
-          }
-        }
-      }
-    }
-  }
-  return build_connected(b);
+  return pargen::random_geometric(n, radius, rng());
 }
 
 Graph barabasi_albert(NodeId n, std::uint32_t m, util::Rng& rng) {
-  // pargen is seed-based; drawing one word from the caller's stream keeps
-  // the Rng& convention of this header without duplicating the generator.
   return pargen::barabasi_albert(n, m, rng());
 }
 
@@ -250,35 +155,7 @@ Graph path_of_cliques(NodeId beads, NodeId bead_size) {
   if (beads == 0 || bead_size == 0) {
     throw std::invalid_argument("path_of_cliques: empty");
   }
-  const NodeId n = beads * bead_size;
-  GraphBuilder b(n);
-  for (NodeId bead = 0; bead < beads; ++bead) {
-    const NodeId base = bead * bead_size;
-    for (NodeId i = 0; i < bead_size; ++i) {
-      for (NodeId j = i + 1; j < bead_size; ++j) {
-        b.add_edge(base + i, base + j);
-      }
-    }
-    if (bead + 1 < beads) {
-      // Connect last node of this bead to first node of the next.
-      b.add_edge(base + bead_size - 1, base + bead_size);
-    }
-  }
-  return b.build();
-}
-
-Graph cylinder(NodeId len, NodeId girth) {
-  if (len == 0 || girth < 3) throw std::invalid_argument("cylinder: bad dims");
-  const NodeId n = len * girth;
-  GraphBuilder b(n);
-  auto id = [girth](NodeId ring, NodeId k) { return ring * girth + k; };
-  for (NodeId ring = 0; ring < len; ++ring) {
-    for (NodeId k = 0; k < girth; ++k) {
-      b.add_edge(id(ring, k), id(ring, (k + 1) % girth));
-      if (ring + 1 < len) b.add_edge(id(ring, k), id(ring + 1, k));
-    }
-  }
-  return b.build();
+  return clique_path(std::vector<NodeId>(beads, bead_size));
 }
 
 Graph barbell(NodeId k, NodeId path_len) {
@@ -315,72 +192,17 @@ Graph lollipop(NodeId k, NodeId path_len) {
   return b.build();
 }
 
-Graph random_regularish(NodeId n, std::uint32_t d, util::Rng& rng) {
-  if (n < 2) throw std::invalid_argument("regularish: n >= 2");
-  if (d < 2 || d % 2 != 0) {
-    throw std::invalid_argument("regularish: d must be even and >= 2");
-  }
-  GraphBuilder b(n);
-  std::vector<NodeId> perm(n);
-  for (std::uint32_t cyc = 0; cyc < d / 2; ++cyc) {
-    std::iota(perm.begin(), perm.end(), NodeId{0});
-    rng.shuffle(perm);
-    for (NodeId i = 0; i < n; ++i) {
-      b.add_edge(perm[i], perm[(i + 1) % n]);
-    }
-  }
-  return build_connected(b);
-}
-
-Graph necklace(NodeId beads, NodeId bead_size, std::uint32_t d,
-               util::Rng& rng) {
-  if (beads < 3 || bead_size < 2) {
-    throw std::invalid_argument("necklace: beads >= 3, bead_size >= 2");
-  }
-  const NodeId n = beads * bead_size;
-  GraphBuilder b(n);
-  std::vector<NodeId> perm(bead_size);
-  for (NodeId bead = 0; bead < beads; ++bead) {
-    const NodeId base = bead * bead_size;
-    for (std::uint32_t cyc = 0; cyc < std::max<std::uint32_t>(1, d / 2);
-         ++cyc) {
-      std::iota(perm.begin(), perm.end(), NodeId{0});
-      rng.shuffle(perm);
-      for (NodeId i = 0; i < bead_size; ++i) {
-        b.add_edge(base + perm[i], base + perm[(i + 1) % bead_size]);
-      }
-    }
-    const NodeId next_base = ((bead + 1) % beads) * bead_size;
-    b.add_edge(base + bead_size - 1, next_base);
-  }
-  return build_connected(b);
-}
-
 Graph diameter_controlled(NodeId n, NodeId d) {
   if (n < 4 || d < 3 || d > n) {
     throw std::invalid_argument("diameter_controlled: need 4 <= n, 3 <= d <= n");
   }
-  // A path of `beads` cliques has diameter 3*beads - 3 + (2 if bead_size>1).
-  // Choose beads ~ d/3 and distribute the n nodes as evenly as possible.
+  // A path of `beads` cliques of size >= 2 has diameter 2*beads - 1. Choose
+  // beads ~ d/3 and distribute the n nodes as evenly as possible.
   NodeId beads = std::max<NodeId>(2, (d + 2) / 3);
   beads = std::min(beads, n / 2);
-  const NodeId base_size = n / beads;
-  NodeId remainder = n % beads;
-  GraphBuilder b(n);
-  NodeId start = 0;
-  NodeId prev_tail = kInvalidNode;
-  for (NodeId bead = 0; bead < beads; ++bead) {
-    const NodeId size = base_size + (bead < remainder ? 1 : 0);
-    for (NodeId i = 0; i < size; ++i) {
-      for (NodeId j = i + 1; j < size; ++j) {
-        b.add_edge(start + i, start + j);
-      }
-    }
-    if (prev_tail != kInvalidNode) b.add_edge(prev_tail, start);
-    prev_tail = start + size - 1;
-    start += size;
-  }
-  return b.build();
+  std::vector<NodeId> bead_sizes(beads, n / beads);
+  for (NodeId bead = 0; bead < n % beads; ++bead) ++bead_sizes[bead];
+  return clique_path(bead_sizes);
 }
 
 }  // namespace radiocast::graph

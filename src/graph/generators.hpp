@@ -3,9 +3,12 @@
 // The paper's regime of interest is D polynomial in n (large diameter), so
 // besides the classic random families we provide generators whose diameter
 // is a controllable parameter: paths of cliques, grids with aspect ratio,
-// caterpillars, and "necklace" graphs (cycle of expanders). Every generator
-// returns a connected graph (generators based on random models repair
-// connectivity and document how).
+// caterpillars, barbells and lollipops. Every generator returns a connected
+// graph. The random families (gnp, random_geometric, barabasi_albert,
+// chung_lu) delegate to graph::pargen with one seed word drawn from the
+// caller's Rng, so each family has exactly one sampler; pargen repairs
+// connectivity by adding one edge between the first-discovered nodes of
+// consecutive components.
 #pragma once
 
 #include <cstdint>
@@ -47,15 +50,16 @@ Graph caterpillar(NodeId spine, NodeId legs);
 /// d-dimensional hypercube: n = 2^dim nodes, diameter dim.
 Graph hypercube(std::uint32_t dim);
 
-/// Erdos-Renyi G(n, p); if disconnected, components are stitched by a
-/// random edge between consecutive components (documented repair; adds
-/// < #components extra edges).
+/// Erdos-Renyi G(n, p). Delegates to graph::pargen; if disconnected,
+/// consecutive components are stitched by one edge (adds < #components
+/// extra edges).
 Graph gnp(NodeId n, double p, util::Rng& rng);
 
 /// Random geometric graph (unit-disk model): n points uniform in the unit
-/// square, edge iff distance <= radius. Connectivity repaired by linking
-/// each component to its nearest other component (closest-pair heuristic).
-/// This is the canonical "sensor network" topology for radio networks.
+/// square, edge iff distance <= radius. Delegates to graph::pargen;
+/// connectivity repaired by component stitching like gnp (the repair edges
+/// may be longer than `radius`). This is the canonical "sensor network"
+/// topology for radio networks.
 Graph random_geometric(NodeId n, double radius, util::Rng& rng);
 
 /// Barabasi-Albert preferential attachment: each new node attaches `m`
@@ -71,15 +75,13 @@ Graph barabasi_albert(NodeId n, std::uint32_t m, util::Rng& rng);
 Graph chung_lu(NodeId n, double exponent, double avg_deg, util::Rng& rng);
 
 /// Path of cliques ("beads"): `beads` cliques of size `bead_size` strung on
-/// a path, consecutive cliques joined by one edge between representatives.
-/// n = beads * bead_size, D = 3*beads - ... ~ 3*beads. This family realises
-/// "D polynomial in n" with dense local neighbourhoods, the regime where the
-/// paper's algorithm shines.
+/// a path, the last node of each bead joined to the first node of the next.
+/// n = beads * bead_size, D = 2*beads - 1 for bead_size >= 2. For
+/// bead_size >= 3 and beads >= 2 it equals
+/// diameter_controlled(beads * bead_size, 3*beads - 2). This family
+/// realises "D polynomial in n" with dense local neighbourhoods, the regime
+/// where the paper's algorithm shines.
 Graph path_of_cliques(NodeId beads, NodeId bead_size);
-
-/// Cylinder: path of `len` segments each a cycle of `girth` nodes, with
-/// corresponding nodes of consecutive rings joined. D ~ len + girth/2.
-Graph cylinder(NodeId len, NodeId girth);
 
 /// Barbell: two cliques of size k joined by a path of length path_len.
 Graph barbell(NodeId k, NodeId path_len);
@@ -87,19 +89,10 @@ Graph barbell(NodeId k, NodeId path_len);
 /// Lollipop: clique of size k with a path of length path_len attached.
 Graph lollipop(NodeId k, NodeId path_len);
 
-/// Random d-regular-ish expander-like graph via the union of `d/2` random
-/// permutation cycles (d even, d >= 2). Connectivity repaired by stitching.
-/// Diameter O(log n) whp.
-Graph random_regularish(NodeId n, std::uint32_t d, util::Rng& rng);
-
-/// "Necklace": `beads` expander beads of size `bead_size` arranged in a
-/// cycle, joined by single edges. D ~ beads.
-Graph necklace(NodeId beads, NodeId bead_size, std::uint32_t d,
-               util::Rng& rng);
-
 /// A family for diameter-controlled experiments: n total nodes arranged as a
-/// path of cliques with approximately the requested diameter d (d >= 3).
-/// Ensures n nodes exactly by spreading remainder over beads.
+/// path of about d/3 cliques, so its diameter is about 2d/3 (d >= 3).
+/// Ensures n nodes exactly by giving the first n % beads beads one extra
+/// node.
 Graph diameter_controlled(NodeId n, NodeId d);
 
 }  // namespace radiocast::graph

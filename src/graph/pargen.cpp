@@ -140,8 +140,8 @@ Graph assemble_csr(NodeId n, int chunks, int threads,
 
 // ------------------------------------------------------ connectivity repair
 
-/// Same repair policy as graph::generators' build_connected: one edge
-/// between the first-discovered representatives of consecutive components.
+/// One edge between the first-discovered representatives (smallest nodes)
+/// of consecutive components.
 /// Rebuilds the CSR with the extra edges merged in (O(n + m) copy; the
 /// repair set is tiny, so affected rows are re-sorted individually).
 Graph repair_connected(Graph g) {

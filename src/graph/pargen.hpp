@@ -22,8 +22,12 @@
 //     ran with) and compacts duplicate edges (only scale-free families
 //     produce any).
 //
-// Every family repairs connectivity exactly like graph::generators does:
-// one edge between representatives of consecutive components.
+// Every family returns a connected graph: when the sample is disconnected,
+// components are numbered in order of their smallest node and one edge
+// joins the smallest nodes of components c-1 and c (adds #components - 1
+// edges; for rgg a repair edge may be longer than the radius). These are
+// the only samplers of the four families; graph/generators.hpp's Rng&
+// entry points delegate here.
 #pragma once
 
 #include <cstdint>

@@ -22,15 +22,6 @@ Instance make_grid_instance(graph::NodeId rows, graph::NodeId cols) {
   return inst;
 }
 
-Instance make_rgg_instance(graph::NodeId n, double radius, util::Rng& rng) {
-  Instance inst;
-  inst.g = graph::random_geometric(n, radius, rng);
-  inst.diameter = graph::diameter_double_sweep(inst.g);
-  inst.name = "rgg(n=" + std::to_string(n) +
-              ",D=" + std::to_string(inst.diameter) + ")";
-  return inst;
-}
-
 namespace {
 
 Instance finish(graph::Graph g, std::string name) {

@@ -1,7 +1,6 @@
 // Named benchmark instances: a graph plus its measured diameter, built
-// from the generator families the experiments sweep over. Absorbed from
-// the old per-binary bench/common.hpp so scenarios and tests share one
-// set of builders.
+// from the generator families the experiments sweep over. Scenarios, the
+// sweep planner and tests share this one set of builders.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +8,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "util/rng.hpp"
 
 namespace radiocast::sim {
 
@@ -20,13 +18,12 @@ struct Instance {
   std::string name;
 };
 
-/// n-node, roughly-D-diameter instance from the path-of-cliques family —
-/// the "D polynomial in n" regime the paper targets.
+/// n-node instance from the path-of-cliques family with about d_target/3
+/// beads (graph::diameter_controlled) — the "D polynomial in n" regime the
+/// paper targets.
 Instance make_cliquepath_instance(graph::NodeId n, graph::NodeId d_target);
 
 Instance make_grid_instance(graph::NodeId rows, graph::NodeId cols);
-
-Instance make_rgg_instance(graph::NodeId n, double radius, util::Rng& rng);
 
 // Seed-based builders on the graph::pargen facade: the instance is a pure
 // function of its arguments (byte-identical for any gen_threads value), so
