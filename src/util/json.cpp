@@ -2,11 +2,11 @@
 
 #include "util/parse.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace radiocast::util {
 
@@ -154,10 +154,8 @@ std::string json_number(double v) {
   if (v == std::floor(v) && std::abs(v) < 9007199254740992.0 /* 2^53 */) {
     return std::to_string(static_cast<long long>(v));
   }
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
+  char buf[32];  // the shortest round-trip form of a double is <= 24 chars
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
@@ -430,12 +428,17 @@ class Parser {
       if (!exp_digits) fail("bad exponent");
     }
     if (!digits) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      return Json(std::stod(token));
-    } catch (const std::exception&) {
-      fail("bad number '" + token + "'");
+    // from_chars is exact for every finite double, subnormals included
+    // (std::stod rejects those as out of range), and ignores the locale.
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const std::size_t skip = token.front() == '+' ? 1 : 0;
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(token.data() + skip, token.data() + token.size(), v);
+    if (ec != std::errc() || end != token.data() + token.size()) {
+      fail("bad number '" + std::string(token) + "'");
     }
+    return Json(v);
   }
 
   std::string_view text_;

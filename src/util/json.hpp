@@ -94,8 +94,9 @@ class Json {
 /// JSON-escape + quote a string (shared by Json::dump and ad-hoc writers).
 void json_append_escaped(std::string& out, std::string_view s);
 
-/// Render a double the way Json::dump does (max_digits10 round-trip
-/// precision, "null" for NaN/Inf, no decimal point for safe integers).
+/// Render a double the way Json::dump does: the shortest decimal form that
+/// parses back to the same double (std::to_chars, so 0.06 prints as
+/// "0.06"), "null" for NaN/Inf, no decimal point for safe integers.
 std::string json_number(double v);
 
 /// Exact uint64 <-> Json round trip. JSON doubles only hold integers

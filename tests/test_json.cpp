@@ -1,14 +1,18 @@
 // util::Json: the one JSON implementation behind bench_out emission and
 // sweep manifests. The properties that matter downstream: insertion-
 // ordered object keys (stable, diffable files), round-trip parse/dump,
-// integral doubles rendered without a decimal point, and loud errors on
-// malformed documents.
+// integral doubles rendered without a decimal point, numbers in their
+// shortest exact form, and loud errors on malformed documents.
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+
+#include "util/rng.hpp"
 
 namespace radiocast::util {
 namespace {
@@ -76,6 +80,31 @@ TEST(Json, RoundTripPreservesStructure) {
   EXPECT_EQ(back.dump(-1), j.dump(-1));
 }
 
+TEST(Json, NumbersAreShortestExactRoundTrip) {
+  EXPECT_EQ(json_number(0.06), "0.06");
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json_number(-2.5e-7), "-2.5e-07");
+  EXPECT_DOUBLE_EQ(Json::parse("1.").as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(Json::parse("+.5").as_number(), 0.5);
+  // Every finite double, subnormals included, parses back bit for bit
+  // (zero is excluded: -0.0 renders as the integer 0).
+  Rng rng(2024);
+  int checked = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t bits = rng();
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v) || v == 0.0) continue;
+    const std::string text = json_number(v);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(Json::parse(text).as_number()),
+              bits)
+        << text;
+    ++checked;
+  }
+  EXPECT_GT(checked, 9900);
+  const double tiny = std::bit_cast<double>(std::uint64_t{1});  // 4.9e-324
+  EXPECT_EQ(Json::parse(json_number(tiny)).as_number(), tiny);
+}
+
 TEST(Json, ParseErrorsNameTheOffset) {
   EXPECT_THROW(Json::parse(""), std::invalid_argument);
   EXPECT_THROW(Json::parse("{"), std::invalid_argument);
@@ -83,6 +112,7 @@ TEST(Json, ParseErrorsNameTheOffset) {
   EXPECT_THROW(Json::parse("{\"a\" 1}"), std::invalid_argument);
   EXPECT_THROW(Json::parse("tru"), std::invalid_argument);
   EXPECT_THROW(Json::parse("1 2"), std::invalid_argument);  // trailing junk
+  EXPECT_THROW(Json::parse("1e999"), std::invalid_argument);  // overflow
   try {
     Json::parse("[1, oops]");
     FAIL() << "expected std::invalid_argument";
