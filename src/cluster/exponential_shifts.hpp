@@ -18,16 +18,31 @@
 // DESIGN.md "fidelity decisions" #1).
 //
 // Algorithm. The shifts are drawn in node order over the in-scope nodes
-// (so the RNG stream is one exponential per in-scope node). With unit
-// edge weights a node settled at key k only offers k - 1 to its
-// neighbours, so the keys are bucketed into integer layers below the top
-// shift: own shifts are counting-sorted into their layers, and layer b
-// (1) settles every node listed there with its best candidate and
-// (2) offers key - 1.0 to each unsettled linked neighbour, which lands in
-// a later layer, so a layer never feeds itself. Cost O(n + m + max delta)
-// time, with max delta ~ ln n / beta whp, instead of a heap Dijkstra's
-// O((n + m) log n). Keys are chained doubles (parent key - 1.0), so the
-// result is bit-reproducible.
+// (so the RNG stream is one exponential per in-scope node). With unit edge
+// weights a node settled at key k only offers k - 1 to its neighbours, so
+// the keys are bucketed into integer layers below the top shift: own
+// shifts are counting-sorted into their layers, and layer b (1) settles
+// every node listed there with its best candidate and (2) offers key - 1.0
+// to each unsettled linked neighbour, which lands in a later layer, so a
+// layer never feeds itself. Step (2) picks its direction once per layer,
+// as direction-optimizing BFS does (Beamer, Asanovic, Patterson, SC 2012):
+// top-down scans the rows of the nodes settled in layer b; bottom-up has
+// every still-open in-scope node scan its own row for neighbours settled
+// in layer b. Bottom-up runs when the settled rows' degree sum exceeds
+// twice the open nodes' degree sum (a running total), plus n before the
+// first switch. On low-diameter graphs that is the one or two layers that
+// settle most of the graph, where most top-down arcs would land on nodes
+// already settled. Its state (the open list and a per-node settle-layer
+// stamp) is built at the first bottom-up layer, so a run that never
+// switches pays nothing for it. In both directions a row is first filtered
+// into a candidate buffer without a per-arc branch, and only the
+// candidates run the compare and tie logic. A node keeps the maximum of
+// its offers under one total order (the tie rules below), so the order and
+// direction of the offers do not change the result. Cost O(n + m + max
+// delta) time, with max delta ~ ln n / beta whp, and fewer arcs scanned on
+// low-diameter graphs, instead of a heap Dijkstra's O((n + m) log n). Keys
+// are chained doubles (parent key - 1.0), so the result is
+// bit-reproducible.
 //
 // Tie rules (ties have probability zero but are fixed for determinism):
 //   * centre: a node's own shift beats an equal offered key; between

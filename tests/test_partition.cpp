@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "cluster/partition_stats.hpp"
 #include "graph/algorithms.hpp"
@@ -33,6 +36,13 @@ graph::Graph make_gnp(util::Rng& rng) { return graph::gnp(400, 0.015, rng); }
 graph::Graph make_poc(util::Rng&) { return graph::path_of_cliques(40, 10); }
 graph::Graph make_tree(util::Rng& rng) {
   return graph::random_recursive_tree(400, rng);
+}
+// Dense families, whose first layers settle most of the graph at once
+// (on gnp-deg16 the partition offers bottom-up in about one layer).
+graph::Graph make_clique(util::Rng&) { return graph::clique(64); }
+graph::Graph make_star(util::Rng&) { return graph::star(201); }
+graph::Graph make_gnp_deg16(util::Rng& rng) {
+  return graph::gnp(1024, 16.0 / 1023, rng);
 }
 
 /// Checks that hold for any exact MPX implementation, whatever its data
@@ -70,8 +80,10 @@ class PartitionInvariants
     : public ::testing::TestWithParam<std::tuple<int, double>> {
  protected:
   static constexpr Family kFamilies[] = {
-      {"grid", make_grid},   {"rgg", make_rgg},   {"gnp", make_gnp},
-      {"cliques", make_poc}, {"tree", make_tree},
+      {"grid", make_grid},     {"rgg", make_rgg},
+      {"gnp", make_gnp},       {"cliques", make_poc},
+      {"tree", make_tree},     {"clique", make_clique},
+      {"star", make_star},     {"gnp-deg16", make_gnp_deg16},
   };
 };
 
@@ -97,7 +109,7 @@ TEST_P(PartitionInvariants, DefinitionHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     FamiliesAndBetas, PartitionInvariants,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5, 6, 7),
                        ::testing::Values(0.05, 0.2, 0.5)));
 
 TEST(Partition, LargeBetaMakesSingletonHeavyClustering) {
@@ -287,6 +299,161 @@ TEST(Theorem22Smoke, ExpectedDistanceWithinBoundForMostJ) {
   // Theorem 2.2 promises probability >= 0.55 over j; with constant 8 the
   // scaled-down version should pass for at least half the j values.
   EXPECT_GE(2 * good, total);
+}
+
+// Exact reference: MPX computed from its definition, by brute force. A
+// BFS from every in-scope node c over the linked edges offers each node v
+// the key delta_c - d(c, v), with the subtraction chained one 1.0 per hop
+// as the partition chains it. v is its own centre when its shift is at
+// least its best offer. Otherwise its parent is the linked neighbour of
+// largest key, ties going to the smaller centre and then the smaller id.
+// Nodes resolve in decreasing key order, so a parent resolves before its
+// children. The shifts are drawn exactly as the partition draws them.
+template <typename InScope, typename Linked>
+Partition reference_partition(const graph::Graph& g, double beta,
+                              InScope in_scope, Linked linked,
+                              util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
+  const graph::NodeId n = g.node_count();
+  Partition p;
+  p.beta = beta;
+  p.center.assign(n, graph::kInvalidNode);
+  p.dist_to_center.assign(n, 0);
+  p.parent.assign(n, graph::kInvalidNode);
+  p.delta.assign(n, 0.0);
+  std::vector<graph::NodeId> scope;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (!in_scope(v)) continue;
+    p.delta[v] = rng.exponential(beta);
+    scope.push_back(v);
+  }
+
+  std::vector<double> offered(n, -kInf);
+  std::vector<std::uint32_t> dist(n);
+  for (graph::NodeId c : scope) {
+    std::fill(dist.begin(), dist.end(), kUnreached);
+    dist[c] = 0;
+    std::vector<graph::NodeId> frontier{c}, next;
+    for (double k = p.delta[c] - 1.0; !frontier.empty(); k -= 1.0) {
+      next.clear();
+      for (graph::NodeId u : frontier) {
+        for (graph::NodeId w : g.neighbors(u)) {
+          if (!linked(u, w) || dist[w] != kUnreached) continue;
+          dist[w] = dist[u] + 1;
+          offered[w] = std::max(offered[w], k);
+          next.push_back(w);
+        }
+      }
+      frontier.swap(next);
+    }
+  }
+
+  std::vector<double> key(n, -kInf);
+  for (graph::NodeId v : scope) key[v] = std::max(p.delta[v], offered[v]);
+  std::vector<graph::NodeId> order = scope;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::NodeId a, graph::NodeId b) {
+                     return key[a] > key[b];
+                   });
+  for (graph::NodeId v : order) {
+    if (p.delta[v] >= offered[v]) {
+      p.center[v] = v;
+      p.parent[v] = v;
+      continue;
+    }
+    double best_key = -kInf;
+    for (graph::NodeId u : g.neighbors(v)) {
+      if (linked(u, v)) best_key = std::max(best_key, key[u]);
+    }
+    graph::NodeId best = graph::kInvalidNode;
+    for (graph::NodeId u : g.neighbors(v)) {
+      if (!linked(u, v) || key[u] != best_key) continue;
+      if (best == graph::kInvalidNode || p.center[u] < p.center[best]) {
+        best = u;  // rows are sorted: on equal centres the first id stays
+      }
+    }
+    EXPECT_EQ(best_key - 1.0, key[v]) << "reference: node " << v;
+    p.parent[v] = best;
+    p.center[v] = p.center[best];
+    p.dist_to_center[v] = p.dist_to_center[best] + 1;
+  }
+  return p;
+}
+
+void expect_same_partition(const Partition& got, const Partition& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.center, want.center) << what;
+  EXPECT_EQ(got.parent, want.parent) << what;
+  EXPECT_EQ(got.dist_to_center, want.dist_to_center) << what;
+  EXPECT_EQ(got.delta, want.delta) << what;
+}
+
+TEST(PartitionReference, MatchesBruteForceMpx) {
+  struct Case {
+    const char* name;
+    graph::Graph (*make)();
+  };
+  // Dense graphs, where one layer settles most of the graph (gnp offers
+  // bottom-up in about one layer per partition), and a path and a clique
+  // path, whose layers settle a few nodes each and offer top-down.
+  const Case kCases[] = {
+      {"clique64", [] { return graph::clique(64); }},
+      {"star200", [] { return graph::star(201); }},
+      {"gnp1024-deg16",
+       [] { return graph::pargen::gnp(1024, 16.0 / 1023, 51); }},
+      {"path", [] { return graph::path(200); }},
+      {"cliquepath", [] { return sim::make_cliquepath_instance(256, 64).g; }},
+  };
+  auto everywhere = [](graph::NodeId) { return true; };
+  auto always = [](graph::NodeId, graph::NodeId) { return true; };
+  std::uint64_t seed = 0;
+  for (const Case& c : kCases) {
+    const graph::Graph g = c.make();
+    const graph::NodeId n = g.node_count();
+    std::vector<std::uint8_t> mask(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      mask[v] = util::mix_seed(77, v) % 5 != 0 ? 1 : 0;
+    }
+    auto masked = [&](graph::NodeId v) { return mask[v] != 0; };
+    auto mask_linked = [&](graph::NodeId u, graph::NodeId v) {
+      return mask[u] && mask[v];
+    };
+    for (double beta : {2.0, 0.5, 0.1, 0.02}) {
+      const std::string what =
+          std::string(c.name) + " beta=" + std::to_string(beta);
+      util::Rng rng(++seed), ref(seed);
+      expect_same_partition(
+          partition(g, beta, rng),
+          reference_partition(g, beta, everywhere, always, ref),
+          what + " whole graph");
+      EXPECT_EQ(rng(), ref());
+      expect_same_partition(
+          partition_masked(g, beta, mask, rng),
+          reference_partition(g, beta, masked, mask_linked, ref),
+          what + " masked");
+      EXPECT_EQ(rng(), ref());
+      // Regions as Hierarchy makes them: the centres of a coarser
+      // partition, here with the masked-out nodes out of scope.
+      util::Rng coarse_rng(1000 + seed);
+      std::vector<graph::NodeId> region =
+          partition(g, beta / 4, coarse_rng).center;
+      for (graph::NodeId v = 0; v < n; ++v) {
+        if (!mask[v]) region[v] = graph::kInvalidNode;
+      }
+      auto regioned = [&](graph::NodeId v) {
+        return region[v] != graph::kInvalidNode;
+      };
+      auto region_linked = [&](graph::NodeId u, graph::NodeId v) {
+        return region[u] == region[v] && region[u] != graph::kInvalidNode;
+      };
+      expect_same_partition(
+          partition_regions(g, beta, region, rng),
+          reference_partition(g, beta, regioned, region_linked, ref),
+          what + " regions");
+      EXPECT_EQ(rng(), ref());
+    }
+  }
 }
 
 // Byte-level pin of Partition(beta): an FNV-1a digest of centre, depth,
