@@ -280,12 +280,19 @@ std::unique_ptr<Checkpoint> Checkpoint::resume(const std::string& dir,
               "not a version-" + std::to_string(kJournalVersion) +
               " sweep journal");
         }
-        if (field(doc, "fingerprint").as_string() != spec_fingerprint(spec)) {
+        const std::string journal_fp = field(doc, "fingerprint").as_string();
+        const std::string spec_fp = spec_fingerprint(spec);
+        if (journal_fp != spec_fp) {
+          // The fingerprint hashes the spec's rendered JSON text, so a
+          // build that prints the same spec differently also lands here.
           throw std::runtime_error(
-              "checkpoint: journal " + cp->path_ +
-              " was written by a different sweep spec — refusing to mix "
-              "outcomes (use a fresh --out directory or rerun the original "
-              "spec)");
+              "checkpoint: journal " + cp->path_ + " has spec fingerprint " +
+              journal_fp + ", this sweep's spec has " + spec_fp +
+              ". Either the spec changed since the journal was written, or "
+              "the journal came from a build that renders the spec "
+              "differently. Refusing to mix outcomes (use a fresh --out "
+              "directory, or resume with the spec and build that wrote the "
+              "journal)");
         }
         if (util::json_as_uint(field(doc, "tasks"), "tasks") != task_count) {
           throw std::runtime_error(

@@ -26,6 +26,10 @@
 // ordering makes impossible without external damage — is an error.
 // The fingerprint pins the journal to the exact SweepSpec, so resuming
 // with a different grid is refused instead of silently mixing outcomes.
+// It hashes the spec's rendered JSON text, so a journal from a build that
+// renders the same spec differently (say, prints a number in another
+// form) is refused too; the refusal names both causes and both
+// fingerprints.
 #pragma once
 
 #include <cstdint>

@@ -295,6 +295,31 @@ TEST(Checkpoint, RejectsStaleSpecAndWrongTaskCount) {
   }
 }
 
+TEST(Checkpoint, FingerprintMismatchNamesBothCausesAndFingerprints) {
+  HarnessGuard guard;
+  const std::string dir = fresh_dir("radiocast_cp_fingerprint");
+  const SweepSpec spec = tiny_spec();
+  // The header a build that renders this spec differently would write:
+  // the same spec and task count under another fingerprint.
+  const std::string foreign = "0123456789abcdef";
+  ASSERT_NE(spec_fingerprint(spec), foreign);
+  write_file(Checkpoint::journal_path(dir),
+             journal_line('H', "{\"kind\":\"sweep-journal\",\"version\":3,"
+                               "\"fingerprint\":\"" +
+                                   foreign + "\",\"tasks\":8}"));
+  try {
+    (void)Checkpoint::resume(dir, spec, 8);
+    ADD_FAILURE() << "resumed a journal with a foreign fingerprint";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(foreign), std::string::npos) << what;
+    EXPECT_NE(what.find(spec_fingerprint(spec)), std::string::npos) << what;
+    EXPECT_NE(what.find("the spec changed"), std::string::npos) << what;
+    EXPECT_NE(what.find("renders the spec differently"), std::string::npos)
+        << what;
+  }
+}
+
 // ------------------------------------------------------- resume byte-identity
 
 /// THE tentpole assertion: for EVERY task boundary k, a run that died
