@@ -43,10 +43,16 @@ Instance make_gnp_instance(graph::NodeId n, double p, std::uint64_t seed,
 
 Instance make_rgg_instance(graph::NodeId n, double radius, std::uint64_t seed,
                            int gen_threads) {
-  return finish(graph::pargen::random_geometric(n, radius, seed,
-                                                {.threads = gen_threads}),
-                "rgg(n=" + std::to_string(n) +
-                    ",r=" + util::json_number(radius) + ")");
+  // Named with its diameter, like the clique path: an rgg's D is not a
+  // function of (n, r), and the reports' D-dependent columns need it.
+  Instance inst = finish(
+      graph::pargen::random_geometric(n, radius, seed,
+                                      {.threads = gen_threads}),
+      "");
+  inst.name = "rgg(n=" + std::to_string(n) + ",r=" +
+              util::json_number(radius) +
+              ",D=" + std::to_string(inst.diameter) + ")";
+  return inst;
 }
 
 Instance make_ba_instance(graph::NodeId n, std::uint32_t attach,

@@ -199,5 +199,13 @@ TEST(Instances, GridDiameterIsExact) {
   EXPECT_EQ(inst.diameter, 13u);
 }
 
+TEST(Instances, RggNameCarriesTheDiameter) {
+  // The reports title rgg tables with the instance name, and their
+  // D-dependent columns are read against it.
+  const Instance inst = make_rgg_instance(300, 0.12, 5, 1);
+  EXPECT_EQ(inst.diameter, 15u);
+  EXPECT_EQ(inst.name, "rgg(n=300,r=0.12,D=15)");
+}
+
 }  // namespace
 }  // namespace radiocast::sim
