@@ -5,6 +5,7 @@
 // normalised by beta (must be O(1)) and strong-diameter quantiles
 // normalised by log n / beta (must be O(1)).
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cluster/exponential_shifts.hpp"
@@ -78,7 +79,10 @@ RADIOCAST_SCENARIO(partition, "partition",
           .add(diams.max() / (logn / beta), 3)
           .add(clusters.mean(), 0);
     }
+    // Named by family and n: rgg and cliquepath share n at full size.
+    const std::string family = inst.name.substr(0, inst.name.find('('));
     ctx.emit(t, "E5: Lemma 2.1 partition properties on " + inst.name,
-             "e5_partition_" + std::to_string(inst.g.node_count()));
+             "e5_partition_" + family + "_" +
+                 std::to_string(inst.g.node_count()));
   }
 }

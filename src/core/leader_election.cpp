@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -61,13 +62,15 @@ LeaderElectionResult elect_leader(const graph::Graph& g,
   if (candidates.empty()) return out;
 
   // Step 3: Compete(C).
-  const CompeteResult r =
-      compete(g, diameter, candidates, params.compete, rng());
+  CompeteResult r = compete(g, diameter, candidates, params.compete, rng());
   out.rounds = r.rounds;
   out.precompute_rounds_charged = r.precompute_rounds_charged;
   out.leader = static_cast<NodeId>(r.winner & 0xFFFFFFFFu);
   out.agreeing = r.informed;
   out.success = r.success && out.leader < n;
+  out.best = std::move(r.best);
+  out.main_stats = r.main_stats;
+  out.background_stats = r.background_stats;
   return out;
 }
 

@@ -30,6 +30,10 @@ struct LeaderElectionResult {
   std::uint32_t candidate_count = 0;
   bool ids_unique = true;         // all candidate IDs distinct (whp event)
   std::uint32_t agreeing = 0;     // nodes knowing the winning ID at the end
+  /// Compete(C)'s final per-node knowledge and engine statistics.
+  std::vector<radio::Payload> best;
+  PropagationStats main_stats;
+  PropagationStats background_stats;
 };
 
 LeaderElectionResult elect_leader(const graph::Graph& g,

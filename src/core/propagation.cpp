@@ -78,6 +78,7 @@ PropagationEngine::PropagationEngine(const Config& cfg)
   build_region_structures();
   index_.resize(scheds_.size());
   for (std::size_t s = 0; s < scheds_.size(); ++s) build_sched_index(s);
+  foreign_slot_.resize(scheds_.size());
   rstate_.assign(region_count_, RegionState{});
 }
 
@@ -309,15 +310,23 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
     for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
       tx_at_[tx_nodes_[i]] = round_id_;
     }
-    for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
-      const NodeId u = tx_nodes_[i];
-      const NodeId cu = center_now_[u];
-      for (NodeId w : g_->neighbors(u)) {
-        // Foreign to w: a different fine cluster. Fine clusters never span
-        // regions, so no two regions share a centre id; a w in no region
-        // (or out of its schedule's scope) holds kInvalidNode, which no
-        // transmitter does.
-        if (center_now_[w] != cu) foreign_at_[w] = round_id_;
+    // A hop is blocked when a node of another fine cluster transmits next
+    // to its receiver, so each transmitter stamps only its foreign
+    // neighbours (cached per schedule, see foreign_neighbours): the arcs
+    // that can block a hop. Only receivers read the stamps, and a receiver
+    // is its transmitter's tree parent or child, which has the
+    // transmitter's centre (pinned by Schedule.TreeNeighboursShareTheCentre).
+    // So a round whose transmitters all have one centre stamps nothing a
+    // receiver reads, and skips the pass.
+    const bool one_centre =
+        std::all_of(tx_nodes_.begin(), tx_nodes_.end(), [&](NodeId u) {
+          return center_now_[u] == center_now_[tx_nodes_.front()];
+        });
+    if (!one_centre) {
+      for (const NodeId u : tx_nodes_) {
+        for (const NodeId w : foreign_neighbours(u)) {
+          foreign_at_[w] = round_id_;
+        }
       }
     }
     for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
@@ -407,6 +416,37 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
         break;
     }
   }
+}
+
+std::span<const NodeId> PropagationEngine::foreign_neighbours(NodeId u) {
+  const std::uint32_t region = region_of_[u];
+  const std::uint32_t s = rstate_[region].choice.sched_index;
+  std::vector<ForeignSlot>& slots = foreign_slot_[s];
+  if (slots.empty()) slots.resize(g_->node_count());
+  ForeignSlot& slot = slots[u];
+  if (slot.off == ForeignSlot::kUnbuilt) {
+    // w is foreign to u when it has another centre. Fine clusters never
+    // span regions, so that holds for every w of another region whatever
+    // schedule it runs, and otherwise depends on s alone (w is out of s's
+    // scope, holding kInvalidNode, or s gives it another centre). The list
+    // therefore stays exact for as long as u's region runs s.
+    [[maybe_unused]] const schedule::TreeSchedule& sched = *scheds_[s];
+    const NodeId cu = center_now_[u];
+    assert(sched.parent(u) == u || sched.center(sched.parent(u)) == cu);
+    assert(std::all_of(sched.children(u).begin(), sched.children(u).end(),
+                       [&](NodeId v) { return sched.center(v) == cu; }));
+    if (foreign_pool_.size() + g_->degree(u) >= ForeignSlot::kUnbuilt) {
+      throw std::length_error("PropagationEngine: foreign list pool full");
+    }
+    slot.off = static_cast<std::uint32_t>(foreign_pool_.size());
+    for (const NodeId w : g_->neighbors(u)) {
+      assert((center_now_[w] != cu) ==
+             (region_of_[w] != region || sched.center(w) != cu));
+      if (center_now_[w] != cu) foreign_pool_.push_back(w);
+    }
+    slot.len = static_cast<std::uint32_t>(foreign_pool_.size()) - slot.off;
+  }
+  return {foreign_pool_.data() + slot.off, slot.len};
 }
 
 void PropagationEngine::background_round(std::vector<Payload>& best) {

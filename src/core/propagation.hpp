@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "cluster/exponential_shifts.hpp"
@@ -163,6 +164,19 @@ class PropagationEngine {
   std::vector<std::uint64_t> tx_at_;
   std::uint64_t round_id_ = 0;
 
+  /// Pipelined blocking: per schedule, per node, the slice of
+  /// foreign_pool_ listing the node's foreign neighbours under that
+  /// schedule (other region, out of scope, or another centre). A slot is
+  /// filled the first time its node transmits under its schedule in a
+  /// multi-centre round; a schedule's slot array is allocated then too.
+  struct ForeignSlot {
+    static constexpr std::uint32_t kUnbuilt = static_cast<std::uint32_t>(-1);
+    std::uint32_t off = kUnbuilt;
+    std::uint32_t len = 0;
+  };
+  std::vector<std::vector<ForeignSlot>> foreign_slot_;
+  std::vector<NodeId> foreign_pool_;
+
   std::vector<NodeId> tx_nodes_;
   std::vector<Payload> tx_payload_;
   radio::SparseOutcome sparse_out_;
@@ -195,6 +209,9 @@ class PropagationEngine {
                    std::vector<Payload>& best);
   void finish_inward(std::uint32_t region, std::vector<Payload>& best);
   void wave_round(std::vector<Payload>& best);
+  /// Transmitter u's foreign neighbours under its region's current
+  /// schedule, built on first use.
+  std::span<const NodeId> foreign_neighbours(NodeId u);
   void background_round(std::vector<Payload>& best);
   void mark_reached(NodeId v);
 

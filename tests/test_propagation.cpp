@@ -7,8 +7,11 @@
 #include <array>
 
 #include "cluster/exponential_shifts.hpp"
+#include "core/compete.hpp"
+#include "core/leader_election.hpp"
 #include "graph/generators.hpp"
 #include "schedule/bfs_schedule.hpp"
+#include "sim/instances.hpp"
 
 namespace radiocast::core {
 namespace {
@@ -281,6 +284,94 @@ TEST(PropagationEngine, ChoiceIndexOutOfRangeThrows) {
   std::vector<Payload> best(4, kNoPayload);
   util::Rng rng(7);
   EXPECT_THROW(eng.step(best, rng), std::out_of_range);
+}
+
+// Pin of the pipelined blocking pass, recorded before that pass scanned
+// cached foreign-neighbour lists instead of whole rows: Compete (sources
+// {0: 3, n/2: 11}) and leader election with default parameters on gnp
+// n=512 deg 16 (graph seed 21), rgg n=400 r=0.09 (graph seed 22) and
+// cliquepath n=256 d=64, three seeds each. Every case but gnp leader
+// election at seed 3 (done within its first window) blocks hops, switches
+// schedules across windows and has nodes that transmit under one schedule
+// in several multi-centre rounds, so a dropped, extra or stale foreign
+// neighbour moves a counter or the digest of the final knowledge.
+TEST(PropagationEngine, BlockingGolden) {
+  struct Golden {
+    int family;
+    bool leader;  // elect_leader instead of compete
+    std::uint64_t seed;
+    std::uint64_t best_digest;  // FNV-1a over the final knowledge
+    // wave_blocked, wave_deliveries, windows_started, rescued
+    std::array<std::uint64_t, 4> main_stats;
+    std::array<std::uint64_t, 4> background_stats;
+  };
+  static const Golden kGolden[] = {
+      {0, false, 1, 0x46661ec53f168325ULL, {371, 925, 6, 412}, {792, 1185, 3, 136}},
+      {0, false, 2, 0x46661ec53f168325ULL, {561, 735, 2, 15}, {430, 1517, 3, 288}},
+      {0, false, 3, 0x46661ec53f168325ULL, {510, 663, 6, 240}, {482, 1462, 3, 151}},
+      {0, true, 1, 0x7a60554eaf69df25ULL, {58, 745, 6, 0}, {13, 1491, 2, 0}},
+      {0, true, 2, 0xbafcd70dbdde8325ULL, {245, 627, 6, 0}, {187, 1139, 2, 0}},
+      {0, true, 3, 0x895757245637cf25ULL, {0, 0, 1, 0}, {0, 538, 1, 0}},
+      {1, false, 1, 0xb60a41b308840e25ULL, {237, 3243, 14, 34}, {504, 1842, 5, 41}},
+      {1, false, 2, 0xb60a41b308840e25ULL, {462, 2931, 28, 82}, {312, 2357, 5, 52}},
+      {1, false, 3, 0xb60a41b308840e25ULL, {630, 3282, 36, 114}, {410, 2760, 6, 88}},
+      {1, true, 1, 0x7d10f54755050685ULL, {1092, 3689, 144, 216}, {590, 2879, 6, 140}},
+      {1, true, 2, 0x4296707bab7b5c25ULL, {635, 2620, 60, 94}, {255, 2105, 4, 72}},
+      {1, true, 3, 0x6e8506f7c06e65c5ULL, {151, 2483, 10, 37}, {386, 1006, 3, 74}},
+      {2, false, 1, 0x08f3a3507e9c5325ULL, {281, 4310, 26, 37}, {480, 1811, 7, 117}},
+      {2, false, 2, 0x08f3a3507e9c5325ULL, {529, 2322, 22, 54}, {464, 1093, 6, 27}},
+      {2, false, 3, 0x08f3a3507e9c5325ULL, {547, 2657, 44, 72}, {292, 1655, 6, 29}},
+      {2, true, 1, 0x20b59208e41f2f25ULL, {1474, 6581, 90, 155}, {1563, 2417, 9, 242}},
+      {2, true, 2, 0x2b02ec90701cbd25ULL, {739, 2477, 78, 124}, {571, 1501, 7, 114}},
+      {2, true, 3, 0xabfccdc967d9eb25ULL, {1519, 5198, 68, 178}, {728, 2846, 9, 198}}
+  };
+  const sim::Instance instances[] = {
+      sim::make_gnp_instance(512, 16.0 / 511, 21, 1),
+      sim::make_rgg_instance(400, 0.09, 22, 1),
+      sim::make_cliquepath_instance(256, 64)};
+  auto counters = [](const PropagationStats& s) {
+    return std::array<std::uint64_t, 4>{s.wave_blocked, s.wave_deliveries,
+                                        s.windows_started, s.rescued};
+  };
+  auto digest = [](const std::vector<Payload>& best) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Payload x : best) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    return h;
+  };
+  std::uint64_t blocked = 0;
+  for (const Golden& pin : kGolden) {
+    const sim::Instance& inst = instances[pin.family];
+    const graph::NodeId n = inst.g.node_count();
+    SCOPED_TRACE(inst.name + (pin.leader ? " leader" : " compete") +
+                 " seed " + std::to_string(pin.seed));
+    std::vector<Payload> best;
+    PropagationStats main_stats, background_stats;
+    if (pin.leader) {
+      auto r = elect_leader(inst.g, inst.diameter, LeaderElectionParams{},
+                            pin.seed);
+      EXPECT_TRUE(r.success);
+      best = std::move(r.best);
+      main_stats = r.main_stats;
+      background_stats = r.background_stats;
+    } else {
+      auto r = compete(inst.g, inst.diameter, {{0, 3}, {n / 2, 11}},
+                       CompeteParams{}, pin.seed);
+      EXPECT_TRUE(r.success);
+      best = std::move(r.best);
+      main_stats = r.main_stats;
+      background_stats = r.background_stats;
+    }
+    EXPECT_EQ(digest(best), pin.best_digest);
+    EXPECT_EQ(counters(main_stats), pin.main_stats);
+    EXPECT_EQ(counters(background_stats), pin.background_stats);
+    blocked += main_stats.wave_blocked + background_stats.wave_blocked;
+  }
+  EXPECT_GT(blocked, 0u);
 }
 
 }  // namespace
