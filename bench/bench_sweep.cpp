@@ -149,8 +149,7 @@ RADIOCAST_SCENARIO(sweep, "sweep",
   const std::vector<exp::PointResult>& results = outcome.points;
   util::Table table(exp::long_headers(timing));
   for (const exp::PointResult& point : results) {
-    exp::add_long_row(table, exp::point_meta(point), point.acc, timing,
-                      &point.gen);
+    exp::add_long_row(table, point, timing);
   }
   ctx.emit(table,
            "sweep: " + std::to_string(results.size()) +

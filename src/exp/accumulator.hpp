@@ -6,10 +6,7 @@
 // statistics (min/median/p95/max), success rates with Wilson score
 // intervals, auxiliary per-replication metrics (deliveries, transmissions,
 // informed counts), the per-phase radio::PhaseTimers rollup, and the
-// core/theory bound overlay evaluated at the grid point. Scenarios outside
-// the sweep (broadcast-vs-n, broadcast-vs-d) fold their replications
-// through the same type so every long-format row in bench_out means the
-// same thing.
+// core/theory bound overlay evaluated at the grid point.
 //
 // Round statistics are computed over SUCCESSFUL replications only —
 // a failed replication's round count is just its budget, which would

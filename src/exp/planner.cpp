@@ -18,6 +18,7 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 
+#include "baselines/hw_broadcast.hpp"
 #include "core/broadcast.hpp"
 #include "core/compete_batched.hpp"
 #include "core/theory.hpp"
@@ -32,6 +33,11 @@ namespace radiocast::exp {
 namespace {
 
 constexpr radio::Payload kBroadcastMessage = 7;
+
+/// Scalar protocol cores (one replication per lane, no execution axes).
+bool scalar_core(const std::string& protocol) {
+  return protocol == "cd" || protocol == "hw";
+}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -122,7 +128,7 @@ std::vector<Job> expand(const SweepSpec& spec) {
         const std::uint64_t point_seed =
             point_seed_for(spec.seed, family, param, n);
         for (const std::string& protocol : spec.protocols) {
-          const bool batched = protocol != "cd";
+          const bool batched = !scalar_core(protocol);
           // Scalar cores identify no execution axes: collapse them so the
           // grid never reruns identical work under different labels.
           const std::size_t medium_count = batched ? spec.mediums.size() : 1;
@@ -194,11 +200,13 @@ sim::Instance build_instance(const Job& job, int gen_threads) {
 double theory_bound(const std::string& protocol, std::uint32_t n,
                     std::uint32_t diameter, int sources) {
   if (protocol == "decay") return core::theory::bound_bgi(n, diameter);
+  if (protocol == "cr") return core::theory::bound_crkp(n, diameter);
   if (protocol == "compete") {
     return core::theory::bound_compete(
         n, diameter, static_cast<std::uint64_t>(sources));
   }
   if (protocol == "cd") return core::theory::bound_cd(n, diameter);
+  if (protocol == "hw") return core::theory::bound_hw(n, diameter);
   throw std::invalid_argument("unknown protocol '" + protocol + "'");
 }
 
@@ -214,7 +222,7 @@ std::uint64_t auto_budget(const Job& job, std::uint32_t n,
 
 std::vector<core::CompeteSource> make_sources(const Job& job,
                                               std::uint32_t n) {
-  if (job.protocol == "decay") return {{0, kBroadcastMessage}};
+  if (job.protocol != "compete") return {{0, kBroadcastMessage}};
   std::vector<core::CompeteSource> sources;
   const auto count = static_cast<std::uint32_t>(job.sources);
   sources.reserve(count);
@@ -260,11 +268,13 @@ TaskOutcome run_task(const Job& job, int first_rep, int count,
         util::mix_seed(job.seed, static_cast<std::uint64_t>(first_rep + l));
   }
 
-  if (job.protocol == "cd") {
+  if (scalar_core(job.protocol)) {
+    const core::CompeteParams params = job.protocol == "hw"
+                                           ? baselines::hw_params()
+                                           : core::CompeteParams{};
     for (const std::uint64_t seed : seeds) {
       const auto r = core::broadcast(inst.g, inst.diameter, 0,
-                                     kBroadcastMessage, core::CompeteParams{},
-                                     seed);
+                                     kBroadcastMessage, params, seed);
       LaneOutcome lane;
       lane.success = r.success;
       lane.rounds = static_cast<double>(r.rounds);
@@ -274,7 +284,9 @@ TaskOutcome run_task(const Job& job, int first_rep, int count,
   } else {
     radio::BatchNetwork bn(inst.g, count, radio::CollisionModel::kNoDetection,
                            job.medium, job.recovery);
-    core::BatchedCompeteParams params;
+    core::BatchedCompeteParams params =
+        job.protocol == "cr" ? core::cr_params(out.n_actual, out.diameter)
+                             : core::BatchedCompeteParams{};
     params.max_rounds = job.max_rounds != 0
                             ? job.max_rounds
                             : auto_budget(job, out.n_actual, out.diameter);

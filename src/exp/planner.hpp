@@ -6,8 +6,9 @@
 // coordinates only (family, parameter, n — not medium or recovery), so
 // two jobs that differ only in execution axes run byte-identical
 // protocol replications: the medium/recovery columns of a sweep isolate
-// execution cost, never outcome. Scalar protocol cores (cd) collapse the
-// execution axes entirely (one job per instance point, medium = scalar).
+// execution cost, never outcome. Scalar protocol cores (cd, hw) collapse
+// the execution axes entirely (one job per instance point, medium =
+// scalar).
 //
 // Planner::run() flattens jobs into (job, lane-batch) tasks, maps them
 // over the sim::Runner pool, and folds the outcomes into per-job
@@ -106,7 +107,8 @@ struct PointResult {
 sim::Instance build_instance(const Job& job, int gen_threads = 0);
 
 /// The core/theory bound overlaid at a grid point: bound_bgi for decay,
-/// bound_compete for compete, bound_cd for cd.
+/// bound_compete for compete, bound_crkp for cr, bound_cd for cd, bound_hw
+/// for hw.
 double theory_bound(const std::string& protocol, std::uint32_t n,
                     std::uint32_t diameter, int sources);
 

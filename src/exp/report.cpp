@@ -60,9 +60,15 @@ std::string Report::write_json(const std::string& name, util::Json payload,
 
 namespace {
 
-std::string param_cell(const PointMeta& meta) {
-  if (meta.param_name.empty()) return "-";
-  return meta.param_name + "=" + util::json_number(meta.param);
+std::string param_cell(const Job& job) {
+  if (job.param_name.empty()) return "-";
+  return job.param_name + "=" + util::json_number(job.param);
+}
+
+/// Sender recovery only applies to lane-batched jobs ("" otherwise).
+std::string recovery_name(const Job& job) {
+  return job.lane_width > 1 ? std::string(radio::to_string(job.recovery))
+                            : "";
 }
 
 }  // namespace
@@ -83,18 +89,20 @@ std::vector<std::string> long_headers(bool timing) {
   return headers;
 }
 
-void add_long_row(util::Table& table, const PointMeta& meta,
-                  const Accumulator& acc, bool timing, const GenStats* gen) {
+void add_long_row(util::Table& table, const PointResult& point, bool timing) {
+  const Job& job = point.job;
+  const Accumulator& acc = point.acc;
+  const std::string recovery = recovery_name(job);
   const util::WilsonInterval wilson = acc.wilson();
   auto& row = table.row()
-                  .add(meta.family)
-                  .add(param_cell(meta))
-                  .add(std::uint64_t{meta.n})
-                  .add(std::uint64_t{meta.diameter})
-                  .add(meta.protocol)
-                  .add(meta.medium)
-                  .add(meta.recovery.empty() ? "-" : meta.recovery)
-                  .add(meta.lanes)
+                  .add(job.family)
+                  .add(param_cell(job))
+                  .add(std::uint64_t{point.n_actual})
+                  .add(std::uint64_t{point.diameter})
+                  .add(job.protocol)
+                  .add(std::string(radio::to_string(job.medium)))
+                  .add(recovery.empty() ? "-" : recovery)
+                  .add(job.lane_width)
                   .add(static_cast<std::uint64_t>(acc.trials()))
                   .add(static_cast<std::uint64_t>(acc.successes()))
                   .add(acc.success_rate(), 3)
@@ -116,25 +124,26 @@ void add_long_row(util::Table& table, const PointMeta& meta,
         .add(static_cast<double>(acc.phases().traverse_ns) / 1e6, 1)
         .add(static_cast<double>(acc.phases().output_ns) / 1e6, 1)
         .add(static_cast<double>(acc.phases().recover_ns) / 1e6, 1)
-        .add(gen ? static_cast<double>(gen->gen_ns) / 1e6 : 0.0, 1)
-        .add(gen ? gen->cache_hits : 0)
-        .add(gen ? gen->cache_misses : 0);
+        .add(static_cast<double>(point.gen.gen_ns) / 1e6, 1)
+        .add(point.gen.cache_hits)
+        .add(point.gen.cache_misses);
   }
 }
 
-util::Json point_json(const PointMeta& meta, const Accumulator& acc,
-                      bool timing, const GenStats* gen) {
+util::Json point_json(const PointResult& point, bool timing) {
+  const Job& job = point.job;
+  const Accumulator& acc = point.acc;
   const util::WilsonInterval wilson = acc.wilson();
   util::Json j = util::Json::object();
-  j.set("family", meta.family);
-  j.set("param_name", meta.param_name);
-  j.set("param", meta.param);
-  j.set("n", std::uint64_t{meta.n});
-  j.set("diameter", std::uint64_t{meta.diameter});
-  j.set("protocol", meta.protocol);
-  j.set("medium", meta.medium);
-  j.set("recovery", meta.recovery);
-  j.set("lanes", meta.lanes);
+  j.set("family", job.family);
+  j.set("param_name", job.param_name);
+  j.set("param", job.param);
+  j.set("n", std::uint64_t{point.n_actual});
+  j.set("diameter", std::uint64_t{point.diameter});
+  j.set("protocol", job.protocol);
+  j.set("medium", radio::to_string(job.medium));
+  j.set("recovery", recovery_name(job));
+  j.set("lanes", job.lane_width);
   j.set("reps", static_cast<std::uint64_t>(acc.trials()));
   j.set("successes", static_cast<std::uint64_t>(acc.successes()));
   j.set("success_rate", acc.success_rate());
@@ -174,30 +183,12 @@ util::Json point_json(const PointMeta& meta, const Accumulator& acc,
           static_cast<std::uint64_t>(acc.phases().idplane_rounds));
     t.set("constfold_rounds",
           static_cast<std::uint64_t>(acc.phases().constfold_rounds));
-    if (gen != nullptr) {
-      t.set("gen_ns", gen->gen_ns);
-      t.set("cache_hits", gen->cache_hits);
-      t.set("cache_misses", gen->cache_misses);
-    }
+    t.set("gen_ns", point.gen.gen_ns);
+    t.set("cache_hits", point.gen.cache_hits);
+    t.set("cache_misses", point.gen.cache_misses);
     j.set("timing", std::move(t));
   }
   return j;
-}
-
-PointMeta point_meta(const PointResult& point) {
-  PointMeta meta;
-  meta.family = point.job.family;
-  meta.param_name = point.job.param_name;
-  meta.param = point.job.param;
-  meta.n = point.n_actual;
-  meta.diameter = point.diameter;
-  meta.protocol = point.job.protocol;
-  meta.medium = std::string(radio::to_string(point.job.medium));
-  meta.recovery = point.job.lane_width > 1
-                      ? std::string(radio::to_string(point.job.recovery))
-                      : "";
-  meta.lanes = point.job.lane_width;
-  return meta;
 }
 
 util::Json sweep_json(const SweepSpec& spec,
@@ -235,8 +226,7 @@ util::Json sweep_json(const SweepSpec& spec,
   }
   util::Json points = util::Json::array();
   for (const PointResult& point : results) {
-    points.push_back(
-        point_json(point_meta(point), point.acc, timing, &point.gen));
+    points.push_back(point_json(point, timing));
   }
   j.set("points", std::move(points));
   return j;

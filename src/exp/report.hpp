@@ -6,12 +6,11 @@
 // JSON payloads are emitted with a leading "version" field
 // (kSchemaVersion) and insertion-ordered keys (util::Json), so files are
 // diffable and downstream consumers can check the schema before parsing.
-// The long-format helpers render one grid point per row — the shared
-// shape for the sweep subcommand and the scenarios ported to
-// exp::Accumulator — with the timing columns (wall clock, medium phase
-// rollups) split out behind a flag: everything except timing is
-// byte-deterministic for a fixed spec, and `--timing=off` produces fully
-// byte-identical files across thread counts and machines.
+// The long-format helpers render one sweep grid point per row, with the
+// timing columns (wall clock, medium phase rollups) split out behind a
+// flag: everything except timing is byte-deterministic for a fixed spec,
+// and `--timing=off` produces fully byte-identical files across thread
+// counts and machines.
 #pragma once
 
 #include <iosfwd>
@@ -71,37 +70,16 @@ class Report {
   std::string out_dir_;
 };
 
-/// Identity of one long-format row (sweep grid point, or a ported
-/// scenario's (instance, algorithm) pair).
-struct PointMeta {
-  std::string family;
-  std::string param_name;  // "" = parameterless
-  double param = 0.0;
-  std::uint32_t n = 0;
-  std::uint32_t diameter = 0;
-  std::string protocol;
-  std::string medium = "scalar";
-  std::string recovery;  // "" = not applicable
-  int lanes = 1;
-};
-
 /// Long-format column set; `timing` appends the wall/phase columns plus
 /// the instance-generation columns (gen_ms, gen_hits, gen_miss).
 std::vector<std::string> long_headers(bool timing);
-/// Renders one accumulator as a long-format row (table and CSV share it).
-/// `gen` fills the generation columns when timing is on (scenarios without
-/// generation stats pass nullptr and get zeros).
-void add_long_row(util::Table& table, const PointMeta& meta,
-                  const Accumulator& acc, bool timing,
-                  const GenStats* gen = nullptr);
+/// Renders one grid point as a long-format row (table and CSV share it).
+void add_long_row(util::Table& table, const PointResult& point, bool timing);
 /// One grid point as a JSON object (same fields as the row, nested). With
-/// timing on and `gen` given, the timing block carries gen_ns /
+/// timing on, the timing block also carries the point's gen_ns /
 /// cache_hits / cache_misses.
-util::Json point_json(const PointMeta& meta, const Accumulator& acc,
-                      bool timing, const GenStats* gen = nullptr);
+util::Json point_json(const PointResult& point, bool timing);
 
-/// PointResult conveniences for the sweep subcommand.
-PointMeta point_meta(const PointResult& point);
 /// The sweep report document: {kind, spec echo, points[]} (version is
 /// prepended by Report::write_json). When `quarantined` is non-null and
 /// non-empty, a "quarantined" array records every poisoned task's grid

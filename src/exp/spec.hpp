@@ -54,13 +54,18 @@ inline constexpr std::array<std::string_view, 6> kFamilyNames{
     "gnp", "rgg", "ba", "powerlaw", "cliquepath", "grid"};
 
 /// Protocol cores the sweep can drive:
-///   decay   — Decay-relay broadcast (core::broadcast_batched; BGI rule
-///             set), lane-batched through BatchNetwork
+///   decay   — Decay-relay broadcast (core::compete_batched with full-depth
+///             cycles: the BGI yardstick), lane-batched through
+///             BatchNetwork
 ///   compete — Decay-relay Compete with |S| = sources (lane-batched)
+///   cr      — Decay-relay broadcast under core::cr_params (the CR/KP
+///             yardstick), lane-batched
 ///   cd      — the paper's Czumaj-Davies broadcast (core::broadcast;
 ///             scalar core, one lane per replication)
-inline constexpr std::array<std::string_view, 3> kProtocolNames{
-    "decay", "compete", "cd"};
+///   hw      — the Haeupler-Wajc baseline (core::broadcast with
+///             baselines::hw_params(); scalar core)
+inline constexpr std::array<std::string_view, 5> kProtocolNames{
+    "decay", "compete", "cr", "cd", "hw"};
 
 struct SweepSpec {
   std::vector<std::string> families{"gnp", "cliquepath"};

@@ -82,8 +82,11 @@ std::string ScenarioContext::write_json(const std::string& scenario_name,
                                                : a.rep < b.rep;
                    });
   util::Json payload = util::Json::object();
+  // Wall clock and the metrics snapshot are timing: gated behind the same
+  // flag the sweep reports use, so --timing=off stays byte-stable.
+  const bool timing = cli.get_bool("timing", true);
   payload.set("scenario", scenario_name);
-  payload.set("wall_ms_total", wall_ms_total);
+  if (timing) payload.set("wall_ms_total", wall_ms_total);
   util::Json replications = util::Json::array();
   for (const ReplicationRecord& r : records) {
     util::Json row = util::Json::object();
@@ -102,11 +105,7 @@ std::string ScenarioContext::write_json(const std::string& scenario_name,
     replications.push_back(std::move(row));
   }
   payload.set("replications", std::move(replications));
-  // Timing-ish metadata like everything else in this file; gate it behind
-  // the same flag the sweep reports use so --timing=off stays byte-stable.
-  if (cli.get_bool("timing", true)) {
-    payload.set("metrics", obs::Metrics::global().snapshot_json());
-  }
+  if (timing) payload.set("metrics", obs::Metrics::global().snapshot_json());
   // Not via emit_json: this IS the driver's fallback write, and it must
   // not mark the name as scenario-owned.
   return exp::Report(out_dir).write_json(scenario_name, std::move(payload),

@@ -135,26 +135,6 @@ LinearFit fit_linear(const std::vector<double>& x,
   return fit;
 }
 
-PowerFit fit_power(const std::vector<double>& x,
-                   const std::vector<double>& y) {
-  assert(x.size() == y.size());
-  std::vector<double> lx, ly;
-  lx.reserve(x.size());
-  ly.reserve(y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > 0.0 && y[i] > 0.0) {
-      lx.push_back(std::log(x[i]));
-      ly.push_back(std::log(y[i]));
-    }
-  }
-  const LinearFit lin = fit_linear(lx, ly);
-  PowerFit fit;
-  fit.coefficient = std::exp(lin.intercept);
-  fit.exponent = lin.slope;
-  fit.r2 = lin.r2;
-  return fit;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   assert(hi > lo && bins > 0);

@@ -74,8 +74,8 @@ struct WilsonInterval {
 WilsonInterval wilson_interval(std::size_t successes, std::size_t trials,
                                double z = 1.96);
 
-/// Least-squares fit of y = a + b*x; used to estimate empirical growth
-/// exponents from log-log data in the benches.
+/// Least-squares fit of y = a + b*x; the benches use it for marginal
+/// costs (rounds per extra message or source).
 struct LinearFit {
   double intercept = 0.0;
   double slope = 0.0;
@@ -83,14 +83,6 @@ struct LinearFit {
 };
 LinearFit fit_linear(const std::vector<double>& x,
                      const std::vector<double>& y);
-
-/// Fit y ~ c * x^e on log-log scale; returns (c, e, r2 of log fit).
-struct PowerFit {
-  double coefficient = 0.0;
-  double exponent = 0.0;
-  double r2 = 0.0;
-};
-PowerFit fit_power(const std::vector<double>& x, const std::vector<double>& y);
 
 /// Simple histogram over [lo, hi) with uniform bins; out-of-range values
 /// clamp into the edge bins.

@@ -18,6 +18,13 @@ test -s "$work/list.txt"
 "$bench" decay --quick --threads=1 --out= > "$work/t1.txt"
 "$bench" decay --quick --threads=4 --out= > "$work/t4.txt"
 diff "$work/t1.txt" "$work/t4.txt"
+# ...and the scenario's replication JSON, whose wall clock is timing and
+# so must vanish at --timing=off.
+for threads in 1 4; do
+  "$bench" decay --quick --timing=off --threads=$threads \
+    --out="$work/decay_t$threads" > /dev/null
+done
+diff "$work/decay_t1/decay.json" "$work/decay_t4/decay.json"
 
 # Sweep reports: 2 families x 3 n x 2 protocols x both mediums x both batch
 # recovery strategies; --timing=off makes the files byte-identical.

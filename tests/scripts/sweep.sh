@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Sweep smoke: grid expansion (dry run), the report schema, outcome
 # equality across mediums and recovery strategies, the manifest round trip,
-# loud failures for bad grids, and the scale-free families with their
-# per-point timing and instance-cache counters.
+# loud failures for bad grids, the scale-free families with their
+# per-point timing and instance-cache counters, and the E1/E2 manifests
+# (bench/manifests) at their quick grids.
 #
 #   tests/scripts/sweep.sh path/to/radiocast_bench
 set -euo pipefail
 
 bench=$1
+manifests=$(cd "$(dirname "$0")/../../bench/manifests" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -84,5 +86,37 @@ jq -e '.metrics.histograms | has("sweep.task_wall_ms")' "$report" \
 # One build per grid point: 32 reps in 16-wide lanes = 2 batches per
 # point, so the second batch of every point must hit the cache.
 jq -e '.cache.misses == 4 and .cache.hits >= 4' "$report" > /dev/null
+
+# E1 (rounds vs D) and E2 (rounds vs n): the full manifests expand to the
+# paper's grids, and each runs at its quick grid over the four protocols.
+e1=$manifests/e1_broadcast_vs_d.json
+e2=$manifests/e2_broadcast_vs_n.json
+"$bench" sweep --manifest="$e1" --dry-run --out= > e1_dry.txt
+"$bench" sweep --manifest="$e2" --dry-run --out= > e2_dry.txt
+grep -q "^sweep: 24 jobs" e1_dry.txt
+grep -q "^sweep: 20 jobs" e2_dry.txt
+# At --timing=off the reports are byte-identical across --threads.
+for threads in 1 4; do
+  "$bench" sweep --manifest="$e1" --n=1024 --d=24,96,384 --reps=1 \
+    --timing=off --threads=$threads --out=e1_t$threads > /dev/null
+  "$bench" sweep --manifest="$e2" --n=512,2048 --reps=1 --timing=off \
+    --threads=$threads --out=e2_t$threads > /dev/null
+done
+for e in e1 e2; do
+  diff ${e}_t1/sweep.csv ${e}_t4/sweep.csv
+  diff ${e}_t1/sweep.json ${e}_t4/sweep.json
+done
+for report in e1_t1/sweep.json e2_t1/sweep.json; do
+  jq -e '[.points[].protocol] | unique == ["cd", "cr", "decay", "hw"]' \
+    "$report" > /dev/null
+  jq -e '.spec["max-rounds"] == 1000000
+         and all(.points[]; .reps == 1 and .theory.bound > 0)' \
+    "$report" > /dev/null
+done
+jq -e '(.points | length) == 12
+       and ([.points[].param] | unique) == [24, 96, 384]' e1_t1/sweep.json \
+  > /dev/null
+jq -e '(.points | length) == 8
+       and ([.points[].n] | unique) == [512, 2048]' e2_t1/sweep.json > /dev/null
 
 echo "sweep smoke: ok"

@@ -10,7 +10,7 @@
 #include "graph/generators.hpp"
 
 // The BGI and CR/KP Decay yardsticks run on core::compete_batched; these
-// tests drive them one seed at a time, as E1/E2 and binary-search LE do.
+// tests drive them one seed at a time, as binary-search LE does.
 namespace radiocast::baselines {
 namespace {
 

@@ -79,7 +79,7 @@ std::pair<std::string, std::string> render(
     const SweepSpec& spec, const RunOutcome& outcome) {
   util::Table table(long_headers(/*timing=*/false));
   for (const auto& point : outcome.points) {
-    add_long_row(table, point_meta(point), point.acc, /*timing=*/false);
+    add_long_row(table, point, /*timing=*/false);
   }
   return {table.to_csv(),
           sweep_json(spec, outcome.points, /*timing=*/false,

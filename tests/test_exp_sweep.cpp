@@ -19,13 +19,19 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/hw_broadcast.hpp"
+#include "core/compete_batched.hpp"
+#include "core/theory.hpp"
 #include "exp/accumulator.hpp"
+#include "exp/checkpoint.hpp"
 #include "exp/planner.hpp"
 #include "exp/report.hpp"
 #include "exp/spec.hpp"
+#include "radio/network.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace radiocast::exp {
@@ -297,7 +303,7 @@ std::pair<std::string, std::string> render_sweep(int threads) {
 
   util::Table table(long_headers(/*timing=*/false));
   for (const auto& point : results) {
-    add_long_row(table, point_meta(point), point.acc, /*timing=*/false);
+    add_long_row(table, point, /*timing=*/false);
   }
   return {table.to_csv(), sweep_json(spec, results, /*timing=*/false).dump(2)};
 }
@@ -354,8 +360,7 @@ TEST(Planner, InstanceCacheDoesNotChangeReportBytes) {
   const auto render = [&](const std::vector<PointResult>& results) {
     util::Table table(long_headers(/*timing=*/false));
     for (const auto& point : results) {
-      add_long_row(table, point_meta(point), point.acc, /*timing=*/false,
-                   &point.gen);
+      add_long_row(table, point, /*timing=*/false);
     }
     return std::make_pair(table.to_csv(),
                           sweep_json(spec, results, /*timing=*/false).dump(2));
@@ -486,6 +491,89 @@ TEST(Planner, ScalarCoreCollapsesExecutionAxes) {
   EXPECT_EQ(jobs[0].instance_seed, jobs[2].instance_seed);
 }
 
+// The hw and cr axis values are the E1/E2 yardsticks: every lane the
+// planner runs must be the direct library call for that lane's seed. The
+// lanes are read back from the sweep journal, which records each task's
+// per-lane outcomes exactly as the planner folds them.
+TEST(ExpSweep, HwAndCrJobsMatchDirectCalls) {
+  SweepSpec spec;
+  spec.families = {"cliquepath"};
+  spec.n = {128};
+  spec.d = {12};
+  spec.protocols = {"hw", "cr"};
+  spec.mediums = {radio::MediumKind::kScalar, radio::MediumKind::kBitslice};
+  spec.recoveries = {radio::RecoveryStrategy::kAuto,
+                     radio::RecoveryStrategy::kRowScan};
+  spec.lanes = 4;
+  spec.reps = 3;
+  spec.seed = 11;
+  spec.max_rounds = 50'000;
+  const auto jobs = expand(spec);
+  // hw collapses the medium/recovery axes as cd does; cr keeps all four.
+  ASSERT_EQ(jobs.size(), 5u);
+  EXPECT_EQ(jobs[0].protocol, "hw");
+  EXPECT_EQ(jobs[0].medium, radio::MediumKind::kScalar);
+  EXPECT_EQ(jobs[0].lane_width, 1);
+  for (std::size_t j = 1; j < jobs.size(); ++j) {
+    EXPECT_EQ(jobs[j].protocol, "cr");
+    EXPECT_EQ(jobs[j].lane_width, 4);
+  }
+
+  const std::string dir = ::testing::TempDir() + "radiocast_hw_cr_lanes";
+  std::filesystem::remove_all(dir);
+  const auto tasks = flatten_tasks(jobs);
+  sim::Runner runner(2);
+  RunOutcome outcome;
+  {
+    auto cp = Checkpoint::start(dir, spec, tasks.size());
+    outcome = Planner().run_durable(jobs, runner, cp.get());
+  }
+  const auto journal = Checkpoint::resume(dir, spec, tasks.size());
+
+  const sim::Instance inst = build_instance(jobs[0]);
+  const std::uint32_t n = inst.g.node_count();
+  core::BatchedCompeteParams cr = core::cr_params(n, inst.diameter);
+  cr.max_rounds = spec.max_rounds;
+  radio::Network net(inst.g);
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const Job& job = jobs[static_cast<std::size_t>(tasks[t].job)];
+    const TaskOutcome* out = journal->outcome(t);
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(out->lanes.size(), static_cast<std::size_t>(tasks[t].count));
+    for (int l = 0; l < tasks[t].count; ++l) {
+      const LaneOutcome& lane = out->lanes[static_cast<std::size_t>(l)];
+      const std::uint64_t seed = util::mix_seed(
+          job.seed, static_cast<std::uint64_t>(tasks[t].first_rep + l));
+      if (job.protocol == "hw") {
+        const auto r =
+            baselines::hw_broadcast(inst.g, inst.diameter, 0, 7, seed);
+        EXPECT_EQ(lane.success, r.success) << job.label();
+        EXPECT_EQ(lane.rounds, static_cast<double>(r.rounds)) << job.label();
+        EXPECT_EQ(lane.informed, static_cast<double>(r.informed));
+      } else {
+        const std::uint64_t one[] = {seed};
+        const auto r = core::compete_batched(net, {{0, 7}}, cr, one)[0];
+        EXPECT_EQ(lane.success, r.success) << job.label();
+        EXPECT_EQ(lane.rounds, static_cast<double>(r.rounds)) << job.label();
+        EXPECT_EQ(lane.informed, static_cast<double>(r.informed));
+        EXPECT_EQ(lane.deliveries, static_cast<double>(r.deliveries));
+        EXPECT_EQ(lane.transmissions, static_cast<double>(r.transmissions));
+      }
+    }
+  }
+
+  ASSERT_EQ(outcome.points.size(), jobs.size());
+  for (const PointResult& point : outcome.points) {
+    EXPECT_EQ(point.acc.trials(), 3u);
+    const double bound =
+        point.job.protocol == "hw"
+            ? core::theory::bound_hw(point.n_actual, point.diameter)
+            : core::theory::bound_crkp(point.n_actual, point.diameter);
+    EXPECT_EQ(point.acc.theory_bound(), bound) << point.job.label();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------------------------ report
 
 TEST(Report, JsonCarriesSchemaVersionFirst) {
@@ -518,15 +606,14 @@ TEST(Report, JsonCarriesSchemaVersionFirst) {
 // timing-free.
 TEST(Report, TimingBlockCarriesSparseCounters) {
   EXPECT_EQ(kSchemaVersion, 4);
-  PointMeta meta;
-  meta.family = "gnp";
-  Accumulator acc;
+  PointResult point;
+  point.job.family = "gnp";
   radio::PhaseTimers phases;
   phases.enqueue_ns = 7;
   phases.drain_ns = 9;
   phases.active_listeners = 11;
-  acc.add_phases(phases);
-  const util::Json j = point_json(meta, acc, /*timing=*/true);
+  point.acc.add_phases(phases);
+  const util::Json j = point_json(point, /*timing=*/true);
   const util::Json* t = j.find("timing");
   ASSERT_NE(t, nullptr);
   EXPECT_DOUBLE_EQ(t->find("enqueue_ns")->as_number(), 7.0);
@@ -535,7 +622,7 @@ TEST(Report, TimingBlockCarriesSparseCounters) {
   for (const char* gone : {"steal_attempts", "steals", "idle_ns"}) {
     EXPECT_EQ(t->find(gone), nullptr) << gone;
   }
-  EXPECT_EQ(point_json(meta, acc, /*timing=*/false).find("timing"), nullptr);
+  EXPECT_EQ(point_json(point, /*timing=*/false).find("timing"), nullptr);
 }
 
 TEST(Report, DriverFallbackRespectsScenarioOwnedFiles) {

@@ -293,8 +293,7 @@ std::pair<std::string, std::string> render_sweep() {
   const auto results = exp::Planner().run(jobs, runner);
   util::Table table(exp::long_headers(/*timing=*/false));
   for (const auto& point : results) {
-    exp::add_long_row(table, exp::point_meta(point), point.acc,
-                      /*timing=*/false);
+    exp::add_long_row(table, point, /*timing=*/false);
   }
   return {table.to_csv(),
           exp::sweep_json(spec, results, /*timing=*/false).dump(2)};

@@ -121,23 +121,6 @@ TEST(LinearFit, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(f.slope, 0.0);
 }
 
-TEST(PowerFit, RecoverExponent) {
-  std::vector<double> x, y;
-  for (double v : {1.0, 2.0, 4.0, 8.0, 16.0}) {
-    x.push_back(v);
-    y.push_back(3.0 * std::pow(v, 1.7));
-  }
-  const auto f = fit_power(x, y);
-  EXPECT_NEAR(f.exponent, 1.7, 1e-9);
-  EXPECT_NEAR(f.coefficient, 3.0, 1e-9);
-  EXPECT_NEAR(f.r2, 1.0, 1e-9);
-}
-
-TEST(PowerFit, IgnoresNonPositive) {
-  const auto f = fit_power({0.0, 1.0, 2.0, 4.0}, {5.0, 2.0, 4.0, 8.0});
-  EXPECT_NEAR(f.exponent, 1.0, 1e-9);  // fitted on (1,2),(2,4),(4,8)
-}
-
 TEST(Histogram, BinningAndClamping) {
   Histogram h(0.0, 10.0, 5);
   h.add(0.5);    // bin 0
