@@ -18,6 +18,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -72,12 +73,7 @@ class Histogram {
 
   /// Bucket index a value lands in (0 for 0, else 1 + floor(log2 v)).
   static int bucket_of(std::uint64_t v) {
-    int b = 0;
-    while (v != 0) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
+    return static_cast<int>(std::bit_width(v));
   }
   /// Inclusive upper bound of bucket b (0, 1, 3, 7, ...).
   static std::uint64_t bucket_max(int b) {

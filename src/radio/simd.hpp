@@ -8,8 +8,8 @@
 // host and picks up 256-bit vectors where the hardware has them.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <span>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RADIOCAST_SIMD_AVX2 1
@@ -24,6 +24,17 @@ namespace radiocast::radio::simd {
 inline bool has_avx2() {
 #if RADIOCAST_SIMD_AVX2
   static const bool ok = __builtin_cpu_supports("avx2") != 0;
+  return ok;
+#else
+  return false;
+#endif
+}
+
+/// One-time AVX-512F probe (cached after the first call); gates the
+/// 8-lanes-per-instruction Decay coin kernel (schedule/decay.cpp).
+inline bool has_avx512f() {
+#if RADIOCAST_SIMD_AVX2
+  static const bool ok = __builtin_cpu_supports("avx512f") != 0;
   return ok;
 #else
   return false;
@@ -116,12 +127,9 @@ inline void gather_row(const std::uint32_t* row, std::size_t len,
   detail::gather_row_scalar(row, len, tx_mask, lane_mask, one_out, two_out);
 }
 
-/// In-place 64x64 bit-matrix transpose about the anti-diagonal (Hacker's
-/// Delight kernel with LSB-first rows and bits): afterwards bit (63-i) of
-/// a[63-j] equals bit j of the original a[i]. Callers flip both indices —
-/// load row 63-r, read row 63-c — to get the main-diagonal transpose for
-/// free; the lane-generic Decay coin transpose uses it that way.
-inline void transpose64(std::array<std::uint64_t, 64>& a) {
+namespace detail {
+
+inline void transpose64_scalar(std::uint64_t* a) {
   std::uint64_t m = 0x00000000FFFFFFFFULL;
   for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
     for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
@@ -130,6 +138,73 @@ inline void transpose64(std::array<std::uint64_t, 64>& a) {
       a[k + j] ^= t << j;
     }
   }
+}
+
+#if RADIOCAST_SIMD_AVX2
+__attribute__((target("avx2"))) inline void transpose64_avx2(
+    std::uint64_t* a) {
+  // Stages j = 32..4 of the scalar kernel: row k pairs with row k + j, and
+  // four adjacent rows share one pairing, so each side is one ymm.
+  std::uint64_t m = 0x00000000FFFFFFFFULL;
+  for (int j = 32; j >= 4; j >>= 1, m ^= m << j) {
+    const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(m));
+    const __m128i sh = _mm_cvtsi32_si128(j);
+    for (int k = 0; k < 64; k = (k + j + 4) & ~j) {
+      auto* px = reinterpret_cast<__m256i*>(a + k);
+      auto* py = reinterpret_cast<__m256i*>(a + k + j);
+      __m256i x = _mm256_loadu_si256(px);
+      __m256i y = _mm256_loadu_si256(py);
+      const __m256i t =
+          _mm256_and_si256(_mm256_xor_si256(x, _mm256_srl_epi64(y, sh)), vm);
+      _mm256_storeu_si256(px, _mm256_xor_si256(x, t));
+      _mm256_storeu_si256(py, _mm256_xor_si256(y, _mm256_sll_epi64(t, sh)));
+    }
+  }
+  // Stages j = 2 and 1 pair rows inside one ymm. With y the partner row
+  // (halves swapped, then words swapped), the low row of a pair takes
+  // x ^= (x ^ (y >> j)) & m and the high row x ^= (x ^ (y << j)) & (m << j):
+  // one update with per-word shift counts and masks (a count of 64 yields 0).
+  constexpr long long m2 = 0x3333333333333333LL;
+  constexpr long long m2h = static_cast<long long>(0xCCCCCCCCCCCCCCCCULL);
+  constexpr long long m1 = 0x5555555555555555LL;
+  constexpr long long m1h = static_cast<long long>(0xAAAAAAAAAAAAAAAAULL);
+  const __m256i m2v = _mm256_setr_epi64x(m2, m2, m2h, m2h);
+  const __m256i r2v = _mm256_setr_epi64x(2, 2, 64, 64);
+  const __m256i l2v = _mm256_setr_epi64x(64, 64, 2, 2);
+  const __m256i m1v = _mm256_setr_epi64x(m1, m1h, m1, m1h);
+  const __m256i r1v = _mm256_setr_epi64x(1, 64, 1, 64);
+  const __m256i l1v = _mm256_setr_epi64x(64, 1, 64, 1);
+  for (int k = 0; k < 64; k += 4) {
+    auto* px = reinterpret_cast<__m256i*>(a + k);
+    __m256i x = _mm256_loadu_si256(px);
+    __m256i y = _mm256_permute4x64_epi64(x, 0x4E);
+    __m256i s = _mm256_or_si256(_mm256_srlv_epi64(y, r2v),
+                                _mm256_sllv_epi64(y, l2v));
+    x = _mm256_xor_si256(x, _mm256_and_si256(_mm256_xor_si256(x, s), m2v));
+    y = _mm256_shuffle_epi32(x, 0x4E);
+    s = _mm256_or_si256(_mm256_srlv_epi64(y, r1v), _mm256_sllv_epi64(y, l1v));
+    x = _mm256_xor_si256(x, _mm256_and_si256(_mm256_xor_si256(x, s), m1v));
+    _mm256_storeu_si256(px, x);
+  }
+}
+#endif
+
+}  // namespace detail
+
+/// In-place 64x64 bit-matrix transpose about the anti-diagonal (Hacker's
+/// Delight kernel with LSB-first rows and bits): afterwards bit (63-i) of
+/// a[63-j] equals bit j of the original a[i]. Callers flip both indices —
+/// load row 63-r, read row 63-c — to get the main-diagonal transpose for
+/// free; the lane-generic Decay coin transpose uses it that way. The AVX2
+/// path computes the same matrix four rows per instruction.
+inline void transpose64(std::span<std::uint64_t, 64> a) {
+#if RADIOCAST_SIMD_AVX2
+  if (has_avx2()) {
+    detail::transpose64_avx2(a.data());
+    return;
+  }
+#endif
+  detail::transpose64_scalar(a.data());
 }
 
 }  // namespace radiocast::radio::simd

@@ -22,6 +22,17 @@
 // consumes exactly the word sequence a standalone scalar run with the same
 // seed consumes, which is what makes batched and per-seed executions
 // byte-identical, lane by lane.
+//
+// Multi-lane calls draw in structure-of-arrays form on AVX-512F hosts: the
+// lanes' xoshiro256** states are copied once per call into four arrays
+// (one per state word), each block's coin words are drawn for 8 lanes per
+// instruction, and the states are written back. The vector loop advances a
+// lane under a mask that is set exactly when the scalar loop would call
+// its generator: the lane has a participant in the block, its running AND
+// is non-zero and fewer than `step` words are in. So each lane draws the
+// same words, in the same block order, and ends in the same state as the
+// scalar coin-word loop, which stays for 1-lane calls and CPUs without
+// AVX-512F (picked once per process).
 #pragma once
 
 #include <cstdint>
@@ -62,6 +73,31 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
                                radio::KnowledgePlanes best,
                                std::span<util::Rng> lane_rng,
                                radio::BatchOutcome& out);
+
+namespace detail {
+
+/// One multi-lane Decay step's coin words, the kernel behind
+/// decay_step_lanes. lanes = lane_rng.size() <= 64; bit l of block_lanes[b]
+/// marks lane l as having a participant in 64-node block b (bits of lanes
+/// past `lanes` are ignored). On return words[64*b + 63 - l] holds lane l's
+/// coin word for block b (0 where the lane draws none, and for every row
+/// of a lane past `lanes`), coin_lanes[b] the lanes whose word is non-zero,
+/// and each lane_rng[l] has advanced by exactly the words it drew.
+/// words.size() must be 64 * block_lanes.size(), coin_lanes.size()
+/// block_lanes.size(). decay_step_lanes runs the AVX-512F kernel when the
+/// CPU has it (radio::simd::has_avx512f), else the scalar loop; both yield
+/// the same words and the same final states.
+void lane_coins_scalar(std::span<util::Rng> lane_rng,
+                       std::span<const std::uint64_t> block_lanes,
+                       std::uint32_t step, std::span<std::uint64_t> words,
+                       std::span<std::uint64_t> coin_lanes);
+/// Requires radio::simd::has_avx512f().
+void lane_coins_avx512(std::span<util::Rng> lane_rng,
+                       std::span<const std::uint64_t> block_lanes,
+                       std::uint32_t step, std::span<std::uint64_t> words,
+                       std::span<std::uint64_t> coin_lanes);
+
+}  // namespace detail
 
 /// Executes one full Decay round (decay_round_length(n) steps) across all
 /// lanes. Returns total deliveries over steps and lanes.

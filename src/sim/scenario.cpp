@@ -82,8 +82,9 @@ std::string ScenarioContext::write_json(const std::string& scenario_name,
                                                : a.rep < b.rep;
                    });
   util::Json payload = util::Json::object();
-  // Wall clock and the metrics snapshot are timing: gated behind the same
-  // flag the sweep reports use, so --timing=off stays byte-stable.
+  // Wall clocks, phase timers and the metrics snapshot are timing: gated
+  // behind the same flag the sweep reports use, so --timing=off stays
+  // byte-stable.
   const bool timing = cli.get_bool("timing", true);
   payload.set("scenario", scenario_name);
   if (timing) payload.set("wall_ms_total", wall_ms_total);
@@ -94,13 +95,15 @@ std::string ScenarioContext::write_json(const std::string& scenario_name,
     row.set("rep", r.rep);
     row.set("rounds", r.rounds);
     row.set("deliveries", r.deliveries);
-    row.set("wall_ms", r.wall_ms);
+    if (timing) row.set("wall_ms", r.wall_ms);
     row.set("medium", r.medium);
     row.set("lanes", r.lanes);
     row.set("recovery", r.recovery);
-    row.set("phase_traverse_ns", r.phase_traverse_ns);
-    row.set("phase_output_ns", r.phase_output_ns);
-    row.set("phase_recover_ns", r.phase_recover_ns);
+    if (timing) {
+      row.set("phase_traverse_ns", r.phase_traverse_ns);
+      row.set("phase_output_ns", r.phase_output_ns);
+      row.set("phase_recover_ns", r.phase_recover_ns);
+    }
     row.set("active_listeners", r.active_listeners);
     replications.push_back(std::move(row));
   }

@@ -107,6 +107,12 @@ class Rng {
   /// Fork an independent sub-stream (deterministic in (state, stream)).
   Rng fork(std::uint64_t stream);
 
+  /// The xoshiro256** state words s[0..3]. Vector kernels that advance
+  /// many generators in lockstep copy them out, step them with the same
+  /// recurrence as operator(), and write them back, so the stream goes on
+  /// exactly where the kernel left it. Never write an all-zero state.
+  std::array<std::uint64_t, 4>& state() { return state_; }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

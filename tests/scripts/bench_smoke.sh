@@ -19,6 +19,9 @@ for medium in scalar bitslice; do
     --medium="$medium" --out=bench_out > /dev/null
 done
 test -f bench_out/medium-backends.json
+# The unrestricted comparison (every backend, the sparse-tail and
+# two-level tables) with the slice pool on.
+RADIOCAST_SHARD_THREADS=4 "$bench" medium-backends --quick --out= > /dev/null
 # The bitslice run (last in the loop) records its O(active) cost evidence
 # on every replication row.
 jq -e '[.replications[] | select(.medium == "bitslice")]

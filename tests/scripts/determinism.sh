@@ -25,6 +25,20 @@ for threads in 1 4; do
     --out="$work/decay_t$threads" > /dev/null
 done
 diff "$work/decay_t1/decay.json" "$work/decay_t4/decay.json"
+# The lane-batched protocol cores (multi-lane Decay steps) record every
+# replication; their rows' wall clocks and phase timers vanish at
+# --timing=off too.
+for threads in 1 4; do
+  "$bench" protocol-lanes --quick --timing=off --threads=$threads \
+    --out="$work/lanes_t$threads" > /dev/null
+done
+diff "$work/lanes_t1/protocol-lanes.json" "$work/lanes_t4/protocol-lanes.json"
+# ...and so do the medium microbenchmark's timing-only rows.
+for threads in 1 4; do
+  "$bench" medium-backends --quick --timing=off --threads=$threads \
+    --out="$work/media_t$threads" > /dev/null
+done
+diff "$work/media_t1/medium-backends.json" "$work/media_t4/medium-backends.json"
 
 # Sweep reports: 2 families x 3 n x 2 protocols x both mediums x both batch
 # recovery strategies; --timing=off makes the files byte-identical.
@@ -40,4 +54,7 @@ for run in t1_s4 t4_s1 t4_s4; do
   diff "$work/sweep_t1_s1/sweep.csv" "$work/sweep_$run/sweep.csv"
   diff "$work/sweep_t1_s1/sweep.json" "$work/sweep_$run/sweep.json"
 done
+# The default quick grid over both media with the task and slice pools on.
+RADIOCAST_SHARD_THREADS=4 "$bench" sweep --quick --medium=bitslice,scalar \
+  --threads=4 --out= > /dev/null
 echo "determinism: all reports identical"

@@ -26,6 +26,12 @@ done
 diff "$work/gen_t1/sweep.csv" "$work/gen_t4/sweep.csv"
 diff "$work/gen_t1/sweep.json" "$work/gen_t4/sweep.json"
 
+# n = 1e5 chunked generation for the four parallel families at 4 threads:
+# the atomic-cursor scatter and duplicate compaction at a size where every
+# family splits into many chunks.
+"$bench" graph-gen --n=100000 --family=gnp,rgg,ba,powerlaw --gen-threads=4 \
+  --out= > /dev/null
+
 # Invalid thread counts fail loudly instead of degrading: the flag's zero
 # and non-numeric values, and a set-but-invalid environment variable.
 expect_failure() {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/generators.hpp"
+#include "radio/simd.hpp"
 
 namespace radiocast::schedule {
 namespace {
@@ -115,6 +118,51 @@ TEST(Decay, BestKeepsMaximum) {
     decay_step(net, part, pay, 0, best, rng);
   }
   EXPECT_EQ(best[1], 10u);
+}
+
+TEST(Decay, VectorCoinsMatchScalar) {
+  // The AVX-512F coin kernel must draw exactly what the scalar coin_word
+  // loop draws: the same words, the same non-zero lane sets and the same
+  // final generator state per lane, for partial lane groups, the
+  // no-draw steps 0 and >= 64, deep steps and blocks nobody takes part in.
+  if (!radio::simd::has_avx512f()) GTEST_SKIP() << "CPU lacks AVX-512F";
+  const std::size_t n = 1000;  // 16 blocks, the last one partial
+  const std::size_t blocks = (n + 63) / 64;
+  util::Rng pick(2718);
+  std::vector<std::uint32_t> steps{0, 63, 64};
+  for (std::uint32_t s = 1; s <= 12; ++s) steps.push_back(s);
+  for (std::size_t lanes : {2, 7, 8, 9, 33, 63, 64}) {
+    for (std::uint32_t step : steps) {
+      std::vector<std::uint64_t> block_lanes(blocks);
+      for (std::uint64_t& b : block_lanes) {
+        const std::uint64_t kind = pick.uniform(4);
+        b = kind == 0   ? 0
+            : kind == 1 ? ~std::uint64_t{0}
+            : kind == 2 ? pick()
+                        : pick() & pick();
+      }
+      std::vector<util::Rng> scalar_rng;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        scalar_rng.emplace_back(util::mix_seed(lanes * 131 + step, l));
+      }
+      std::vector<util::Rng> vector_rng = scalar_rng;
+      // Garbage in the outputs: every row must be written.
+      std::vector<std::uint64_t> scalar_words(64 * blocks, 0xA5A5A5A5ULL);
+      std::vector<std::uint64_t> vector_words = scalar_words;
+      std::vector<std::uint64_t> scalar_lanes(blocks, 0xA5), vector_lanes(
+                                                                 blocks, 0x5A);
+      detail::lane_coins_scalar(scalar_rng, block_lanes, step, scalar_words,
+                                scalar_lanes);
+      detail::lane_coins_avx512(vector_rng, block_lanes, step, vector_words,
+                                vector_lanes);
+      SCOPED_TRACE(testing::Message() << "lanes " << lanes << " step " << step);
+      EXPECT_EQ(scalar_words, vector_words);
+      EXPECT_EQ(scalar_lanes, vector_lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        EXPECT_EQ(scalar_rng[l].state(), vector_rng[l].state()) << "lane " << l;
+      }
+    }
+  }
 }
 
 }  // namespace
